@@ -1,50 +1,27 @@
-"""Shared infrastructure for the figure/table benchmarks.
+"""Shared fixtures for the figure/table benchmarks.
 
 Every benchmark regenerates one of the paper's evaluation artifacts
-(Figures 2, 3, 8-13 and Table V).  Each writes its rows/series to
-``benchmarks/results/<name>.txt`` and prints them, so the numbers can be
-compared against the paper and pasted into EXPERIMENTS.md.
+(Figures 2, 3, 8-13, Table V, the ablations and extensions), writes its
+rows to ``benchmarks/results/<name>.txt`` and prints them, so the numbers
+can be compared against the paper and pasted into EXPERIMENTS.md.  The
+drivers read their simulation grids from the shared plan in
+``benchmarks/plan.py``, which runs each distinct cell once per pytest run.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/                      # 21 claim checks, serial
+    REPRO_BENCH_JOBS=4 pytest benchmarks/   # missing cells over 4 processes
+
+then ``git diff -- benchmarks/results`` shows any drift in the tables.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
-from repro.exp import run_grid
-
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Worker processes for the figure grids: ``REPRO_BENCH_JOBS=4 pytest
-#: benchmarks/`` fans every sweep out; unset/0/1 keeps them serial.
-BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or None
-
-#: Result-cache directory: ``REPRO_BENCH_CACHE=/tmp/repro-cache`` makes
-#: re-runs of the harness skip every already-computed cell.
-BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE") or None
-
-
-def bench_grid(workloads, models, machine=None, **kwargs):
-    """The benchmarks' single entry into the :mod:`repro.exp` engine.
-
-    Identical to :func:`repro.exp.run_grid` but wired to the harness's
-    ``REPRO_BENCH_JOBS`` / ``REPRO_BENCH_CACHE`` environment knobs.
-    """
-    kwargs.setdefault("jobs", BENCH_JOBS)
-    kwargs.setdefault("cache", BENCH_CACHE)
-    return run_grid(workloads, models, machine, **kwargs)
-
-#: Operations per thread used by the figure sweeps.  Large enough to
-#: reach buffer steady state (the calibration analysis showed transients
-#: die out after ~30-50 ops), small enough to keep the whole harness at a
-#: few minutes.
-FIGURE_OPS = 150
 
 
 @pytest.fixture(scope="session")

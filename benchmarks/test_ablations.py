@@ -13,29 +13,16 @@ Not figures from the paper, but experiments its text implies:
 """
 
 from repro.analysis.report import render_table
-from repro.core.models import ModelSpec
-from repro.sim.config import HardwareModel, MachineConfig, PersistencyModel
-from repro.workloads.dash import DashEH
-from repro.workloads.microbench import BandwidthMicrobench
-from repro.workloads.whisper import Nstore
+from repro.sim.config import HardwareModel, MachineConfig
 
-from benchmarks.conftest import FIGURE_OPS, bench_grid
-
-RP = PersistencyModel.RELEASE
+from benchmarks.plan import NVM_WRITE_SCALES, PAPER, RT_ENTRIES
 
 
 def run_rt_size_sweep():
     rows = []
     runtimes = {}
-    hops_runtime = None
-    for rt_entries in (0, 4, 8, 16, 32, 64):
-        config = MachineConfig(num_cores=4, rt_entries=rt_entries)
-        result = bench_grid(
-            [DashEH],
-            ["asap"],
-            config,
-            ops_per_thread=FIGURE_OPS,
-        )
+    for rt_entries in RT_ENTRIES:
+        result = PAPER.sweep(f"ablation_rt_size/{rt_entries}")
         run = result.runs[("dash_eh", "asap")]
         runtimes[rt_entries] = run.runtime_cycles
         rows.append(
@@ -43,12 +30,7 @@ def run_rt_size_sweep():
              run.result.stats.total("flushes_nacked"),
              run.result.stats.total("totalUndo")]
         )
-    hops = bench_grid(
-        [DashEH],
-        ["hops"],
-        MachineConfig(num_cores=4),
-        ops_per_thread=FIGURE_OPS,
-    )
+    hops = PAPER.sweep("ablation_rt_size/hops")
     hops_runtime = hops.runs[("dash_eh", "hops")].runtime_cycles
     rows.append(["HOPS", hops_runtime, "-", "-"])
     table = render_table(
@@ -74,15 +56,8 @@ def test_ablation_rt_size(benchmark, record):
 def run_nvm_bw_sweep():
     rows = []
     ratios = {}
-    for factor, label in ((2.0, "0.5x bw"), (1.0, "1x bw"), (0.5, "2x bw"),
-                          (0.25, "4x bw")):
-        config = MachineConfig(num_cores=4).scaled_nvm_write(factor)
-        result = bench_grid(
-            [BandwidthMicrobench],
-            ["hops", "asap"],
-            config,
-            ops_per_thread=150,
-        )
+    for _scale, label in NVM_WRITE_SCALES:
+        result = PAPER.sweep(f"ablation_nvm_bw/{label}")
         hops = result.runtime("bandwidth", "hops")
         asap = result.runtime("bandwidth", "asap")
         ratios[label] = hops / asap
@@ -161,13 +136,7 @@ def test_ablation_strands(benchmark, record):
 
 
 def run_no_undo_comparison():
-    result = bench_grid(
-        [Nstore, DashEH],
-        ["asap",
-         ModelSpec("no_undo", HardwareModel.ASAP_NO_UNDO, RP)],
-        MachineConfig(num_cores=4),
-        ops_per_thread=FIGURE_OPS,
-    )
+    result = PAPER.sweep("ablation_no_undo")
     rows = []
     overheads = {}
     for name in result.workloads:

@@ -12,36 +12,24 @@ sweeps show how sensitive each design is to those choices.
 """
 
 from repro.analysis.report import render_table
-from repro.core.models import ModelSpec
-from repro.sim.config import HardwareModel, MachineConfig, PersistencyModel
-from repro.workloads.dash import DashEH
-from repro.workloads.whisper import Echo
+from repro.sim.config import HardwareModel
 
-from benchmarks.conftest import bench_grid
-
-from dataclasses import replace
-
-RP = PersistencyModel.RELEASE
-OPS = 120
+from benchmarks.plan import PAPER, PB_ENTRIES, POLL_INTERVALS, WPQ_ENTRIES
 
 
-def _runtime(config, hardware):
-    result = bench_grid(
-        [DashEH],
-        [ModelSpec("m", hardware, RP)],
-        config,
-        ops_per_thread=OPS,
-    )
-    return result.runtime("dash_eh", "m")
+def _runtime(grid, model):
+    return PAPER.sweep(grid).runtime("dash_eh", model)
 
 
 def run_pb_sweep():
     rows = []
     runtimes = {}
-    for pb_entries in (4, 8, 16, 32, 64):
-        config = MachineConfig(num_cores=4, pb_entries=pb_entries)
+    for pb_entries in PB_ENTRIES:
+        result = PAPER.sweep(f"ablation_pb_size/{pb_entries}")
         for hardware in (HardwareModel.HOPS, HardwareModel.ASAP):
-            runtimes[(pb_entries, hardware)] = _runtime(config, hardware)
+            runtimes[(pb_entries, hardware)] = result.runtime(
+                "dash_eh", hardware.value
+            )
         rows.append([
             pb_entries,
             runtimes[(pb_entries, HardwareModel.HOPS)],
@@ -74,9 +62,8 @@ def test_ablation_pb_size(benchmark, record):
 
 def run_wpq_sweep():
     rows = {}
-    for wpq in (4, 8, 16, 32):
-        config = MachineConfig(num_cores=4, wpq_entries=wpq)
-        rows[wpq] = _runtime(config, HardwareModel.ASAP)
+    for wpq in WPQ_ENTRIES:
+        rows[wpq] = _runtime(f"ablation_wpq_size/{wpq}", "asap")
     table = render_table(
         ["WPQ entries", "ASAP (cyc)"],
         [[k, v] for k, v in rows.items()],
@@ -94,9 +81,8 @@ def test_ablation_wpq_size(benchmark, record):
 
 def run_poll_sweep():
     rows = {}
-    for interval in (100, 250, 500, 1000, 2000):
-        config = MachineConfig(num_cores=4, hops_poll_interval_cycles=interval)
-        rows[interval] = _runtime(config, HardwareModel.HOPS)
+    for interval in POLL_INTERVALS:
+        rows[interval] = _runtime(f"ablation_poll_interval/{interval}", "hops")
     table = render_table(
         ["poll interval (cyc)", "HOPS (cyc)"],
         [[k, v] for k, v in rows.items()],

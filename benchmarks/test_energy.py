@@ -13,18 +13,13 @@ access).
 
 from repro.analysis.energy import estimate_energy
 from repro.analysis.report import render_table
-from repro.sim.config import MachineConfig
 from repro.workloads import SUITE
 
-from benchmarks.conftest import FIGURE_OPS, bench_grid
-
-MODELS = ["baseline", "hops", "asap"]
+from benchmarks.plan import ENERGY_MODELS as MODELS, PAPER
 
 
 def run_energy():
-    result = bench_grid(
-        SUITE, MODELS, MachineConfig(num_cores=4), ops_per_thread=FIGURE_OPS
-    )
+    result = PAPER.sweep("ext_energy")
     rows = []
     per_op = {}
     for name in result.workloads:

@@ -9,20 +9,15 @@ series, normalized to events per million cycles (the paper's 1 ms at
 """
 
 from repro.analysis.report import render_table
-from repro.sim.config import MachineConfig
-from repro.workloads import SUITE
 
-from benchmarks.conftest import FIGURE_OPS, bench_grid
+from benchmarks.plan import PAPER
 
 CONCURRENT_DS = {"cceh", "dash_lh", "dash_eh", "p_art", "p_clht", "p_masstree"}
 WHISPER = {"nstore", "echo", "vacation", "memcached"}
 
 
 def run_figure2():
-    result = bench_grid(
-        SUITE, ["asap_rp"], MachineConfig(num_cores=4),
-        ops_per_thread=FIGURE_OPS,
-    )
+    result = PAPER.sweep("fig02")
     rows = []
     per_mcycle = {}
     for name in result.workloads:

@@ -8,22 +8,19 @@ flushing.
 """
 
 from repro.analysis.report import render_table
-from repro.sim.config import MachineConfig
-from repro.workloads import SUITE
 
-from benchmarks.conftest import FIGURE_OPS, bench_grid, geomean
+from benchmarks.plan import FIGURE_CORES, PAPER
 
 CONCURRENT_DS = {"cceh", "dash_lh", "dash_eh", "p_art", "p_clht", "p_masstree"}
 
 
 def run_figure3():
-    config = MachineConfig(num_cores=4)
-    result = bench_grid(SUITE, ["hops_rp"], config, ops_per_thread=FIGURE_OPS)
+    result = PAPER.sweep("fig03")
     rows, percents = [], {}
     for name in result.workloads:
         run = result.runs[(name, "hops_rp")]
         blocked = run.result.stats.total("cyclesBlocked")
-        total = config.num_cores * run.result.drain_cycles
+        total = FIGURE_CORES * run.result.drain_cycles
         percent = 100.0 * blocked / max(1, total)
         percents[name] = percent
         rows.append([name, blocked, f"{percent:.1f}%"])

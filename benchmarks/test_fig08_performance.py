@@ -11,19 +11,14 @@ baseline; the published numbers to compare shapes against:
 
 from repro.analysis.report import render_table
 from repro.core.models import STANDARD_MODELS
-from repro.sim.config import MachineConfig
-from repro.workloads import SUITE
 
-from benchmarks.conftest import FIGURE_OPS, bench_grid, geomean
+from benchmarks.plan import PAPER
 
 HOPS_EP_BELOW_BASELINE = ("queue", "cceh", "dash_eh", "p_art")
 
 
 def run_figure8():
-    result = bench_grid(
-        SUITE, STANDARD_MODELS, MachineConfig(num_cores=4),
-        ops_per_thread=FIGURE_OPS,
-    )
+    result = PAPER.sweep("fig08")
     model_names = [m.name for m in STANDARD_MODELS]
     rows = []
     for workload in result.workloads:

@@ -9,17 +9,13 @@ PM reads on average.
 """
 
 from repro.analysis.report import render_table
-from repro.sim.config import MachineConfig
-from repro.workloads import SUITE
 
-from benchmarks.conftest import FIGURE_OPS, bench_grid, geomean
+from benchmarks.conftest import geomean
+from benchmarks.plan import PAPER
 
 
 def run_figure9():
-    result = bench_grid(
-        SUITE, ["hops", "asap"], MachineConfig(num_cores=4),
-        ops_per_thread=FIGURE_OPS,
-    )
+    result = PAPER.sweep("fig09")
     rows, write_ratios, read_ratios = [], [], []
     for name in result.workloads:
         hops_writes = result.stat(name, "hops", "pm_writes")

@@ -10,24 +10,18 @@ P-ART scales best and Skiplist worst; HOPS flattens as dependence
 resolution and the global TS register saturate.
 """
 
-from repro.analysis.report import render_series, render_table
-from repro.sim.config import MachineConfig
+from repro.analysis.report import render_table
 from repro.workloads import SUITE
 
-from benchmarks.conftest import bench_grid, geomean
-
-CORE_COUNTS = (1, 2, 4, 8)
-OPS = 100  # per thread; total work grows with threads as in the paper
-
-MODELS = ["hops", "asap"]
+from benchmarks.conftest import geomean
+from benchmarks.plan import PAPER, SCALING_CORES as CORE_COUNTS, SCALING_OPS as OPS
 
 
 def run_figure10():
     # throughput = total ops / runtime; normalize to HOPS at 1 thread.
     throughput = {}  # (workload, model, cores) -> ops/cycle
     for cores in CORE_COUNTS:
-        config = MachineConfig(num_cores=cores)
-        result = bench_grid(SUITE, MODELS, config, ops_per_thread=OPS)
+        result = PAPER.sweep(f"fig10/{cores}T")
         for name in result.workloads:
             for model in ("hops", "asap"):
                 cycles = result.runtime(name, model)

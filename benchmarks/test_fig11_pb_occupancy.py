@@ -6,17 +6,12 @@ paper uses this to argue ASAP would do fine with smaller buffers.
 """
 
 from repro.analysis.report import render_table
-from repro.sim.config import MachineConfig
-from repro.workloads import SUITE
 
-from benchmarks.conftest import FIGURE_OPS, bench_grid
+from benchmarks.plan import PAPER
 
 
 def run_figure11():
-    result = bench_grid(
-        SUITE, ["hops", "asap"], MachineConfig(num_cores=4),
-        ops_per_thread=FIGURE_OPS,
-    )
+    result = PAPER.sweep("fig11")
     rows = []
     occupancy = {}
     for name in result.workloads:

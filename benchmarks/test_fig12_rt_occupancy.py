@@ -8,20 +8,16 @@ HOPS, because the persist buffers keep flushing conservatively.
 """
 
 from repro.analysis.report import render_table
-from repro.sim.config import MachineConfig
 from repro.workloads import SUITE
 
-from benchmarks.conftest import FIGURE_OPS, bench_grid
-
-MODEL = ["asap"]
+from benchmarks.plan import PAPER, RT_THREADS
 
 
 def run_figure12():
     occupancy = {}
     nacks = {}
-    for threads in (4, 8):
-        config = MachineConfig(num_cores=threads)
-        result = bench_grid(SUITE, MODEL, config, ops_per_thread=FIGURE_OPS)
+    for threads in RT_THREADS:
+        result = PAPER.sweep(f"fig12/{threads}T")
         for name in result.workloads:
             run = result.runs[(name, "asap")]
             machine_rts = run.result.stats.weighted_stats("rt_occupancy")

@@ -8,23 +8,20 @@ overlaps them.  The paper reports ASAP at roughly 2x HOPS.
 """
 
 from repro.analysis.report import render_table
-from repro.sim.config import MachineConfig
 from repro.workloads.microbench import BandwidthMicrobench
 
-from benchmarks.conftest import bench_grid
+from benchmarks.plan import (
+    BANDWIDTH_MODELS as MODELS,
+    BANDWIDTH_OPS as OPS,
+    BANDWIDTH_THREADS as THREADS,
+    PAPER,
+)
 
-OPS = 300
-THREADS = 4
 CPU_GHZ = 2.0
-
-# eADR is omitted: with battery-backed caches the benchmark issues no
-# flush traffic at all, so "delivered persist bandwidth" is undefined.
-MODELS = ["baseline", "hops", "asap"]
 
 
 def run_figure13():
-    config = MachineConfig(num_cores=THREADS)
-    result = bench_grid([BandwidthMicrobench], MODELS, config, ops_per_thread=OPS)
+    result = PAPER.sweep("fig13")
     total_bytes = BandwidthMicrobench(ops_per_thread=OPS).bytes_written(THREADS)
     bandwidth = {}
     rows = []

@@ -15,23 +15,15 @@ trend its argument predicts.)
 import pytest
 
 from repro.analysis.report import render_table
-from repro.sim.config import MachineConfig
-from repro.workloads.microbench import BandwidthMicrobench
-from repro.workloads.dash import DashEH
 
-from benchmarks.conftest import bench_grid
-
-MODELS = ["hops", "asap"]
+from benchmarks.plan import MC_COUNTS, PAPER
 
 
 def run_mc_sweep():
     rows = []
     advantage = {}
-    for num_mcs in (1, 2, 4):
-        config = MachineConfig(num_cores=4, num_mcs=num_mcs)
-        result = bench_grid(
-            [BandwidthMicrobench, DashEH], MODELS, config, ops_per_thread=150
-        )
+    for num_mcs in MC_COUNTS:
+        result = PAPER.sweep(f"ext_mc_sensitivity/{num_mcs}")
         for workload in ("bandwidth", "dash_eh"):
             hops = result.runtime(workload, "hops")
             asap = result.runtime(workload, "asap")

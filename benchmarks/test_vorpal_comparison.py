@@ -12,19 +12,13 @@ simplified Vorpal model in :mod:`repro.core.vorpal` the comparison runs:
 """
 
 from repro.analysis.report import render_table
-from repro.sim.config import MachineConfig
-from repro.workloads import SUITE
-from repro.workloads.microbench import BandwidthMicrobench
 
-from benchmarks.conftest import bench_grid, geomean
-
-MODELS = ["baseline", "hops", "vorpal", "asap"]
+from benchmarks.conftest import geomean
+from benchmarks.plan import BROADCAST_PERIODS, PAPER, VORPAL_MODELS as MODELS
 
 
 def run_vorpal_suite():
-    result = bench_grid(
-        SUITE, MODELS, MachineConfig(num_cores=4), ops_per_thread=100
-    )
+    result = PAPER.sweep("ext_vorpal_suite")
     rows = []
     speedups = {m: [] for m in MODELS}
     for name in result.workloads:
@@ -68,21 +62,12 @@ def test_vorpal_suite_comparison(benchmark, record):
 
 def run_broadcast_sweep():
     rows = {}
-    for period in (50, 100, 250, 500, 1000, 2000):
-        config = MachineConfig(num_cores=4, vorpal_broadcast_cycles=period)
-        result = bench_grid(
-            [BandwidthMicrobench],
-            ["vorpal"],
-            config,
-            ops_per_thread=150,
-        )
+    for period in BROADCAST_PERIODS:
+        result = PAPER.sweep(f"ext_vorpal_broadcast/{period}")
         rows[period] = result.runs[("bandwidth", "vorpal")].result.drain_cycles
-    asap = bench_grid(
-        [BandwidthMicrobench],
-        ["asap"],
-        MachineConfig(num_cores=4),
-        ops_per_thread=150,
-    ).runs[("bandwidth", "asap")].result.drain_cycles
+    asap = PAPER.sweep("ext_vorpal_broadcast/asap").runs[
+        ("bandwidth", "asap")
+    ].result.drain_cycles
     table = render_table(
         ["broadcast period (cyc)", "Vorpal (cyc)", "vs ASAP"],
         [[p, c, f"{c / asap:.2f}x"] for p, c in rows.items()],

@@ -17,6 +17,8 @@ this package:
   on-disk store; re-running a suite skips already-computed cells.
 - :func:`run_grid` -- the one-call driver returning a
   :class:`SweepResult` with the figures' normalization helpers.
+- :class:`SharedPlan` -- many named, overlapping grids served from one
+  deduplicated plan: each distinct cell is simulated once per pass.
 """
 
 from repro.exp.cache import ResultCache, SupportsKey
@@ -30,6 +32,7 @@ from repro.exp.executors import (
 from repro.exp.plan import (
     ExperimentPlan,
     PlanResult,
+    SharedPlan,
     SweepResult,
     run_grid,
     run_plan,
@@ -44,6 +47,7 @@ __all__ = [
     "ResultCache",
     "RunSpec",
     "SerialExecutor",
+    "SharedPlan",
     "SupportsKey",
     "SweepResult",
     "WorkerDiedError",

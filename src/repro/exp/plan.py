@@ -15,15 +15,33 @@ The lifecycle every driver (CLI ``compare``, the figure benchmarks,
    geomeans, stat extraction).
 
 ``analysis.sweeps.sweep()`` survives as a thin shim over steps 1-3.
+
+:class:`SharedPlan` serves many named grids that overlap (the paper's
+figures re-read the same runs) from one deduplicated plan, so a full
+reproduction pass simulates each distinct cell once.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+    Union,
+)
 
-from repro.core.models import ModelSpec, resolve_model
+from repro.core.models import ModelSpec
 from repro.exp.cache import ResultCache
 from repro.exp.executors import Executor, make_executor
 from repro.exp.spec import RunSpec, execute_spec
@@ -171,6 +189,19 @@ class SweepResult:
     def stat(self, workload: str, model: str, name: str) -> int:
         return self.runs[(workload, model)].stats.total(name)
 
+    @classmethod
+    def of(cls, outcome: PlanResult) -> "SweepResult":
+        """Key a plan's runs by the display names its specs carry, so
+        callers that label designs ``hops``/``asap`` keep their labels
+        while sharing results with ``hops_rp``/``asap_rp`` runs."""
+        result = cls(
+            workloads=list(dict.fromkeys(s.workload for s in outcome.plan)),
+            models=list(dict.fromkeys(s.model.name for s in outcome.plan)),
+        )
+        for spec, run in outcome:
+            result.runs[(spec.workload, spec.model.name)] = run
+        return result
+
 
 def run_grid(
     workloads: Sequence[WorkloadRef],
@@ -186,9 +217,7 @@ def run_grid(
     """Run every workload under every model; the standard figure driver.
 
     The returned :class:`SweepResult` keys runs by the *display* names
-    of the workloads and models given, so callers that label designs
-    ``hops``/``asap`` keep their labels while sharing cache entries with
-    ``hops_rp``/``asap_rp`` runs.
+    of the models given (see :meth:`SweepResult.of`).
     """
     plan = ExperimentPlan.grid(
         workloads,
@@ -198,22 +227,126 @@ def run_grid(
         num_threads=num_threads,
         seeds=(seed,),
     )
-    outcome = run_plan(plan, jobs=jobs, cache=cache, executor=executor)
-    model_specs = [resolve_model(m) for m in models]
-    result = SweepResult(
-        workloads=[
-            w if isinstance(w, str) else w.name for w in workloads
-        ],
-        models=[m.name for m in model_specs],
+    return SweepResult.of(
+        run_plan(plan, jobs=jobs, cache=cache, executor=executor)
     )
-    for spec, run in outcome:
-        result.runs[(spec.workload, spec.model.name)] = run
-    return result
+
+
+# ---------------------------------------------------------------------------
+# one shared plan behind many named grids
+# ---------------------------------------------------------------------------
+
+class SharedPlan:
+    """Named grids served from one plan, each distinct cell simulated once
+    per pass.
+
+    ``declare`` returns every grid a driver may request, by name.  It is
+    called on the first request; the union of its grids, deduplicated by
+    :meth:`RunSpec.key`, is the shared plan.  :meth:`run` sends only the
+    cells it does not hold to :func:`run_plan` (with this store's
+    ``jobs``/``cache``/``executor``), and the lifetime rule keeps memory
+    bounded and passes independent:
+
+    - a fresh result is held only while some *other* grid that declares
+      its key has not read it yet, and is dropped after the last read;
+    - each declaring grid reads a held result at most once.  A repeat
+      request from the same grid starts a new pass and simulates the cell
+      again, so nothing is reused across passes.
+    """
+
+    def __init__(
+        self,
+        declare: Callable[[], Mapping[str, ExperimentPlan]],
+        jobs: Optional[int] = None,
+        cache: Optional[CacheRef] = None,
+        executor: Optional[Executor] = None,
+    ) -> None:
+        self._declare = declare
+        self.jobs = jobs
+        self.cache = cache
+        self.executor = executor
+        self._grids: Optional[Dict[str, ExperimentPlan]] = None
+        #: grid name -> the key of each of its cells, in grid order.
+        self._keys: Dict[str, List[str]] = {}
+        #: key -> names of the grids that declare it.
+        self._declarers: Dict[str, FrozenSet[str]] = {}
+        #: key -> (result, grids that have read it this pass).
+        self._held: Dict[str, Tuple[WorkloadResult, Set[str]]] = {}
+
+    @property
+    def grids(self) -> Mapping[str, ExperimentPlan]:
+        """Every declared grid, by name (declared on first use)."""
+        if self._grids is None:
+            grids = dict(self._declare())
+            declarers: Dict[str, Set[str]] = {}
+            for name, grid in grids.items():
+                self._keys[name] = [spec.key() for spec in grid]
+                for key in self._keys[name]:
+                    declarers.setdefault(key, set()).add(name)
+            self._declarers = {k: frozenset(v) for k, v in declarers.items()}
+            self._grids = grids
+        return self._grids
+
+    def plan(self, names: Optional[Iterable[str]] = None) -> ExperimentPlan:
+        """The union of the named grids (default: all), one cell per key."""
+        grids = self.grids
+        cells: Dict[str, RunSpec] = {}
+        for name in grids if names is None else names:
+            for spec, key in zip(grids[name], self._keys[name]):
+                cells.setdefault(key, spec)
+        return ExperimentPlan(list(cells.values()))
+
+    @property
+    def held(self) -> int:
+        """Results currently held for grids that have not read them."""
+        return len(self._held)
+
+    def run(self, name: str) -> PlanResult:
+        """Results of the grid declared as ``name``, in its cell order."""
+        grid = self.grids[name]
+        keys = self._keys[name]
+        results: Dict[str, WorkloadResult] = {}
+        missing: Dict[str, RunSpec] = {}
+        for spec, key in zip(grid, keys):
+            if key in results or key in missing:
+                continue
+            held = self._held.get(key)
+            if held is None or name in held[1]:
+                missing[key] = spec
+                continue
+            results[key] = held[0]
+            held[1].add(name)
+            if held[1] >= self._declarers[key]:
+                del self._held[key]
+        hits = misses = 0
+        if missing:
+            outcome = run_plan(
+                ExperimentPlan(list(missing.values())),
+                jobs=self.jobs,
+                cache=self.cache,
+                executor=self.executor,
+            )
+            hits, misses = outcome.cache_hits, outcome.cache_misses
+            for key, result in zip(missing, outcome.results):
+                results[key] = result
+                if self._declarers[key] - {name}:
+                    self._held[key] = (result, {name})
+        return PlanResult(
+            plan=grid,
+            results=[results[key] for key in keys],
+            cache_hits=hits,
+            cache_misses=misses,
+        )
+
+    def sweep(self, name: str) -> SweepResult:
+        """:meth:`run` viewed as a workload x model :class:`SweepResult`."""
+        return SweepResult.of(self.run(name))
 
 
 __all__ = [
     "ExperimentPlan",
     "PlanResult",
+    "SharedPlan",
     "SweepResult",
     "run_grid",
     "run_plan",
