@@ -220,8 +220,7 @@ def run_named_case(item: Tuple[str, str, int]) -> BenchResult:
 
     Bench cases close over lambdas, so they do not pickle; this resolves
     the case by name inside the worker instead, which is what lets a
-    suite fan out over process executors and the fabric's generic
-    ``call`` task kind.
+    suite fan out over process executors and the fabric.
     """
     suite, name, reps = item
     if suite == "sampled":

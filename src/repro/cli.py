@@ -32,16 +32,14 @@ workflow:
 - ``fabric``  -- the distributed experiment fabric: run a grid with
   content fingerprints (``grid``), attach an external worker to a
   shared queue (``worker``), or inspect a queue (``status``).
-- ``serve``   -- long-running HTTP service over the fabric: POST
-  experiment specs, poll job progress, repeat submissions answered
-  from the shared result cache instantly.
 - ``list``    -- enumerate workloads and models.
 
 Model names come from the canonical registry
-(:data:`repro.core.models.MODEL_REGISTRY`); ``run`` and ``compare``
-execute through the :mod:`repro.exp` engine, so both understand
-``--jobs N`` (process fan-out) and ``--cache-dir DIR`` (deterministic
-result reuse).
+(:data:`repro.core.models.MODEL_REGISTRY`).  Commands that run cells
+through :func:`repro.exp.run_specs` (``run``, ``compare``,
+``crashtest``, ``litmus``, ``fabric grid``) understand ``--cache-dir
+DIR`` (deterministic result reuse); those that fan out understand
+``--jobs N``.
 """
 
 from __future__ import annotations
@@ -93,7 +91,6 @@ def _fabric_executor(args):
     return FabricExecutor(
         jobs=getattr(args, "jobs", None) or 2,
         queue_dir=getattr(args, "queue", None),
-        cache_dir=getattr(args, "cache_dir", None),
         stream_path=getattr(args, "stream", None),
         chaos_kill_after=getattr(args, "chaos_kill", None),
     )
@@ -594,25 +591,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    from repro.fabric.serve import serve
-
-    print(f"repro serve listening on http://{args.host}:{args.port} "
-          f"({args.jobs} fabric worker(s))")
-    print("POST /v1/experiments, GET /v1/jobs/<id>, GET /v1/stats, "
-          "POST /v1/shutdown")
-    serve(
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        queue_dir=args.queue,
-        cache_dir=args.cache_dir,
-        verbose=not args.quiet,
-    )
-    print("repro serve: shut down cleanly")
-    return 0
-
-
 def cmd_fabric(args) -> int:
     import json as _json
     import os as _os
@@ -625,10 +603,8 @@ def cmd_fabric(args) -> int:
             return 2
         worker_id = args.worker_id or f"ext-{_os.getpid()}"
         print(f"fabric worker {worker_id} joining queue {args.queue}")
-        completed = worker_loop(
-            args.queue, worker_id, cache_dir=args.cache_dir,
-            max_idle_s=args.max_idle,
-        )
+        completed = worker_loop(args.queue, worker_id,
+                                max_idle_s=args.max_idle)
         print(f"fabric worker {worker_id} exited after {completed} task(s)")
         return 0
 
@@ -671,7 +647,6 @@ def cmd_fabric(args) -> int:
         executor = FabricExecutor(
             jobs=args.jobs or 2,
             queue_dir=args.queue,
-            cache_dir=args.cache_dir,
             stream_path=args.stream,
             chaos_kill_after=args.chaos_kill,
         )
@@ -735,24 +710,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--threads", type=int, default=4)
-        p.add_argument("--mcs", type=int, default=2)
-        p.add_argument("--ops", type=int, default=100,
-                       help="operations per thread")
+    def _jobs_flag(p):
+        p.add_argument("--jobs", type=int, default=None, metavar="N",
+                       help="worker processes (default: serial, or 2 "
+                       "on the fabric)")
+
+    def common(p, machine=True):
+        if machine:
+            p.add_argument("--threads", type=int, default=4)
+            p.add_argument("--mcs", type=int, default=2)
+            p.add_argument("--ops", type=int, default=100,
+                           help="operations per thread")
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--cache-dir", metavar="DIR",
                        help="reuse deterministic results cached here")
 
-    def _fabric_flags(p):
-        p.add_argument("--fabric", action="store_true",
-                       help="run the sweep on the fault-tolerant "
-                       "distributed fabric (survives worker death; "
-                       "byte-identical output)")
+    def _fabric_flags(p, switch=True, attach=True):
+        """--jobs, plus --fabric unless the command always runs on the
+        fabric, plus the queue flags unless it cannot attach workers."""
+        _jobs_flag(p)
+        if switch:
+            p.add_argument("--fabric", action="store_true",
+                           help="run on the fault-tolerant distributed "
+                           "fabric (survives worker death; "
+                           "byte-identical output)")
+        if not attach:
+            return
         p.add_argument("--queue", metavar="DIR",
                        help="fabric queue directory (default: a private "
                        "temp dir; share one to attach external workers "
-                       "via 'repro fabric worker')")
+                       "via 'repro fabric worker'; required by fabric "
+                       "worker/status)")
         p.add_argument("--stream", metavar="PATH",
                        help="append one JSONL progress line per "
                        "completed task here (incremental results)")
@@ -777,9 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default: the full Table III suite")
     p_cmp.add_argument("--models", nargs="*", choices=_MODEL_CHOICE_NAMES,
                        help="first one is the normalization baseline")
-    p_cmp.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="run grid cells across N worker processes")
     common(p_cmp)
+    _jobs_flag(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_tl = sub.add_parser(
@@ -844,9 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ct.add_argument("--points", type=int, default=50, metavar="N",
                       help="crash points per (workload, model) cell "
                       "(default: 50)")
-    p_ct.add_argument("--jobs", type=int, default=None, metavar="N",
-                      help="adjudicate crash points across N worker "
-                      "processes")
     p_ct.add_argument("--out", metavar="PATH",
                       help="write the canonical JSON campaign report here")
     p_ct.add_argument("--save-failures", metavar="DIR",
@@ -860,15 +844,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="with --replay: also re-simulate the failure "
                       "from this checkpoint anchor (repro ckpt output) "
                       "and re-adjudicate the resimulated state")
-    p_ct.add_argument("--threads", type=int, default=4)
-    p_ct.add_argument("--mcs", type=int, default=2)
-    p_ct.add_argument("--ops", type=int, default=24,
-                      help="operations per thread (default: 24)")
-    p_ct.add_argument("--seed", type=int, default=7)
-    p_ct.add_argument("--cache-dir", metavar="DIR",
-                      help="reuse deterministic results cached here")
+    common(p_ct)
     _fabric_flags(p_ct)
-    p_ct.set_defaults(func=cmd_crashtest)
+    # each crash point re-simulates its prefix: short cells by default.
+    p_ct.set_defaults(func=cmd_crashtest, ops=24)
 
     p_lit = sub.add_parser(
         "litmus",
@@ -892,13 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lit.add_argument("--points", type=int, default=None, metavar="N",
                        help="crash points per cell (default: 24; "
                        "--smoke pins its own)")
-    p_lit.add_argument("--seed", type=int, default=7)
     p_lit.add_argument("--count", type=int, default=4, metavar="N",
                        help="random-family tests to generate (default: 4)")
-    p_lit.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="run cells across N worker processes")
-    p_lit.add_argument("--cache-dir", metavar="DIR",
-                       help="reuse deterministic results cached here")
     p_lit.add_argument("--format", choices=("text", "json", "sarif"),
                        default="text")
     p_lit.add_argument("--out", metavar="PATH",
@@ -912,6 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "here (the golden-diffed CI artifact)")
     p_lit.add_argument("--verbose", action="store_true",
                        help="also print unobserved (too-strong) states")
+    common(p_lit, machine=False)
     _fabric_flags(p_lit)
     p_lit.set_defaults(func=cmd_litmus)
 
@@ -939,12 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--max-regress", default="10%",
                          help="allowed per-bench throughput drop for "
                          "--compare, e.g. '10%%' or '0.1' (default: 10%%)")
-    p_bench.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="fabric worker count (with --fabric)")
-    p_bench.add_argument("--fabric", action="store_true",
-                         help="fan cases out over the fault-tolerant "
-                         "fabric (throughput surveys; the CI perf gate "
-                         "stays serial for low-noise timing)")
+    _fabric_flags(p_bench, attach=False)
     p_bench.set_defaults(func=cmd_bench)
 
     p_ckpt = sub.add_parser(
@@ -997,24 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
     # sampling only pays off on longer streams than the 100-op default.
     p_sample.set_defaults(func=cmd_sample, ops=2000)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="long-running HTTP experiment service over the fabric",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8642)
-    p_serve.add_argument("--jobs", type=int, default=2, metavar="N",
-                         help="fabric worker processes (default: 2)")
-    p_serve.add_argument("--queue", metavar="DIR",
-                         help="fabric queue directory (default: a "
-                         "private temp dir)")
-    p_serve.add_argument("--cache-dir", metavar="DIR",
-                         help="shared result store; repeat submissions "
-                         "are answered from here instantly")
-    p_serve.add_argument("--quiet", action="store_true",
-                         help="suppress per-request access logging")
-    p_serve.set_defaults(func=cmd_serve)
-
     p_fab = sub.add_parser(
         "fabric",
         help="distributed experiment fabric: grid / worker / status",
@@ -1029,20 +981,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fab.add_argument("--models", nargs="*", choices=_MODEL_CHOICE_NAMES,
                        metavar="MODEL",
                        help="grid columns (default: baseline asap_rp)")
-    p_fab.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="fabric worker processes (default: 2)")
     p_fab.add_argument("--serial", action="store_true",
                        help="bypass the fabric and run in-process (the "
                        "reference for byte-identity checks)")
     p_fab.add_argument("--out", metavar="PATH",
                        help="write the canonical grid document here")
-    p_fab.add_argument("--queue", metavar="DIR",
-                       help="fabric queue directory (worker/status: "
-                       "required; grid: default private temp dir)")
-    p_fab.add_argument("--stream", metavar="PATH",
-                       help="append one JSONL line per completed task")
-    p_fab.add_argument("--chaos-kill", type=int, default=None, metavar="N",
-                       help="SIGKILL one worker after N completed tasks")
     p_fab.add_argument("--worker-id", metavar="ID",
                        help="worker mode: stable worker name "
                        "(default: ext-<pid>)")
@@ -1050,6 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker mode: exit after S seconds with "
                        "nothing to claim")
     common(p_fab)
+    _fabric_flags(p_fab, switch=False)
     p_fab.set_defaults(func=cmd_fabric)
 
     p_crash = sub.add_parser("crash", help="crash a run and check recovery")

@@ -10,12 +10,12 @@ each re-simulated from scratch, crashed with
 - the workload's semantic ``recovery_oracle()``
   (:meth:`repro.workloads.base.Workload.recovery_oracle`).
 
-Crash points fan out over the :mod:`repro.exp` process-pool executor and
-cache exactly like experiment cells: a :class:`CrashPointSpec` is
-content-addressed, its :class:`CrashPointResult` is a small picklable
-record.  On a violation the campaign minimizes the failure
-(:mod:`repro.crashtest.minimize`) and serializes a replayable
-:class:`~repro.core.crash.CrashState`.
+Crash points go through the same cached fan-out as experiment cells
+(:func:`repro.exp.plan.run_specs`): a :class:`CrashPointSpec` is a
+content-addressed :class:`~repro.exp.cache.Spec`, its
+:class:`CrashPointResult` is a small picklable record.  On a violation
+the campaign minimizes the failure (:mod:`repro.crashtest.minimize`)
+and serializes a replayable :class:`~repro.core.crash.CrashState`.
 
 Reports are **canonical**: same spec + same seed = byte-identical
 ``to_dict()`` JSON, whether results came fresh, from the cache, or from
@@ -25,7 +25,6 @@ a different worker count.  Nothing wall-clock-dependent is recorded.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -34,8 +33,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.api import PMAllocator
 from repro.core.crash import CrashState, run_and_crash
 from repro.core.models import RP_MODELS, ModelSpec, resolve_model
+from repro.exp.cache import content_key, jsonable
 from repro.exp.executors import make_executor
-from repro.exp.spec import _jsonable
+from repro.exp.plan import run_specs
 from repro.obs.events import Event, EventType
 from repro.sim.config import MachineConfig, RunConfig
 from repro.verify.consistency import check_consistency
@@ -175,8 +175,8 @@ class CrashPointSpec:
             "workload": self.workload,
             "hardware": self.model.hardware.value,
             "persistency": self.model.persistency.value,
-            "machine": _jsonable(self.machine),
-            "run_config": _jsonable(self.run_config()),
+            "machine": jsonable(self.machine),
+            "run_config": jsonable(self.run_config()),
             "crash_cycle": self.crash_cycle,
             "ops_per_thread": self.ops_per_thread,
             "num_threads": self.num_threads,
@@ -184,10 +184,7 @@ class CrashPointSpec:
         }
 
     def key(self) -> str:
-        payload = json.dumps(
-            self.describe(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return content_key(self.describe())
 
     def label(self) -> str:
         return (
@@ -232,11 +229,6 @@ class CrashPointResult:
             "surviving_lines": self.surviving_lines,
             "writes_logged": self.writes_logged,
         }
-
-
-def execute_crash_point(spec: CrashPointSpec) -> CrashPointResult:
-    """Module-level trampoline so executors can ship specs to workers."""
-    return spec.execute()
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +373,7 @@ def run_campaign(
                 "workload": name,
                 "hardware": model.hardware.value,
                 "persistency": model.persistency.value,
-                "machine": _jsonable(machine),
+                "machine": jsonable(machine),
                 "ops_per_thread": ops_per_thread,
                 "num_threads": num_threads,
                 "seed": seed,
@@ -399,32 +391,23 @@ def run_campaign(
                 for cycle in cycles
             ]
 
-    # phase 2: cache lookups, then one fan-out over every pending spec
+    # phase 2: one cached fan-out over every crash point
     all_specs = [s for specs in specs_by_cell.values() for s in specs]
-    results: Dict[str, CrashPointResult] = {}
-    pending: List[CrashPointSpec] = []
-    for spec in all_specs:
-        cached = cache.get(spec) if cache is not None else None
-        if cached is not None:
-            results[spec.key()] = cached
-        else:
-            pending.append(spec)
-    executor = executor or make_executor(jobs)
-    for spec, result in zip(pending, executor.map(execute_crash_point, pending)):
-        results[spec.key()] = result
-        if cache is not None:
-            cache.put(spec, result)
+    results, hits = run_specs(
+        all_specs, cache, executor or make_executor(jobs)
+    )
 
     # phase 3: assemble cells, emit events, minimize failures
     report = CampaignReport(
         cells=[],
         points_requested=points,
         seed=seed,
-        cache_hits=len(all_specs) - len(pending),
-        cache_misses=len(pending),
+        cache_hits=hits,
+        cache_misses=len(all_specs) - hits,
     )
+    remaining = iter(results)
     for (name, model_name), specs in specs_by_cell.items():
-        cell_results = [results[s.key()] for s in specs]
+        cell_results = [next(remaining) for _ in specs]
         _emit_events(sinks, name, model_name, cell_results)
         cell = CellReport(
             workload=name,
@@ -601,7 +584,6 @@ __all__ = [
     "CrashPointResult",
     "CrashPointSpec",
     "adjudicate",
-    "execute_crash_point",
     "replay_failure",
     "run_campaign",
 ]

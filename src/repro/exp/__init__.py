@@ -4,12 +4,17 @@ Everything that runs a *grid* of simulations (the CLI's ``compare``,
 every figure benchmark, ``scripts/reproduce_results.py``) goes through
 this package:
 
+- :class:`Spec` / :func:`content_key` / :func:`canonical_json`
+  (:mod:`repro.exp.cache`) -- the protocol every content-addressed cell
+  kind satisfies (``describe``/``key``/``label``/``execute``) and the
+  one way its key is derived.
 - :class:`RunSpec` (:mod:`repro.exp.spec`) -- one fully-specified cell:
   workload, model, machine, knobs, seed.  Content-hashable and
   picklable.
 - :class:`ExperimentPlan` / :func:`run_plan` (:mod:`repro.exp.plan`) --
   expand a grid into cells and execute them through a pluggable
-  executor, consulting the cache first.
+  executor; :func:`run_specs` is the cached fan-out behind it (and
+  behind crash campaigns and litmus runs).
 - :class:`SerialExecutor` / :class:`ParallelExecutor`
   (:mod:`repro.exp.executors`) -- in-process or ``--jobs N`` process
   fan-out; identical results either way.
@@ -21,7 +26,13 @@ this package:
   deduplicated plan: each distinct cell is simulated once per pass.
 """
 
-from repro.exp.cache import ResultCache, SupportsKey
+from repro.exp.cache import (
+    ResultCache,
+    Spec,
+    canonical_json,
+    content_key,
+    jsonable,
+)
 from repro.exp.executors import (
     Executor,
     ParallelExecutor,
@@ -36,6 +47,7 @@ from repro.exp.plan import (
     SweepResult,
     run_grid,
     run_plan,
+    run_specs,
 )
 from repro.exp.spec import RunSpec, execute_spec
 
@@ -48,11 +60,15 @@ __all__ = [
     "RunSpec",
     "SerialExecutor",
     "SharedPlan",
-    "SupportsKey",
+    "Spec",
     "SweepResult",
     "WorkerDiedError",
+    "canonical_json",
+    "content_key",
     "execute_spec",
+    "jsonable",
     "make_executor",
     "run_grid",
     "run_plan",
+    "run_specs",
 ]

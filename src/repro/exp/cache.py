@@ -1,12 +1,17 @@
-"""Deterministic on-disk result cache.
+"""Content identity and the deterministic on-disk result cache.
 
-Results are stored content-addressed: the filename is the
-:meth:`~repro.exp.spec.RunSpec.key` SHA-256 of the spec, so a cache
-entry can never be served for a spec it does not exactly match (any
-change to the machine config, model, workload, knobs, or seed changes
-the key).  Each entry is the pickled :class:`~repro.workloads.base.
-WorkloadResult` plus a human-readable ``.json`` sidecar describing the
-spec that produced it.
+Every cell kind -- a figure run (:class:`~repro.exp.spec.RunSpec`), a
+crash point (:class:`~repro.crashtest.campaign.CrashPointSpec`), a
+litmus cell (:class:`~repro.litmus.spec.LitmusSpec`) -- satisfies the
+:class:`Spec` protocol, and every one derives its key the same way:
+:func:`content_key`, the SHA-256 of :func:`canonical_json` of its
+``describe()`` document.
+
+Results are stored content-addressed: the filename is the spec's key,
+so a cache entry can never be served for a spec it does not exactly
+match (any change to the machine config, model, workload, knobs, or
+seed changes the key).  Each entry is the pickled result plus a
+human-readable ``.json`` sidecar describing the spec that produced it.
 
 Writes are atomic (tmp file + ``os.replace``), so concurrent workers
 and concurrent *processes* may share one cache directory: the worst
@@ -20,28 +25,62 @@ stats, same epoch log.  The determinism suite asserts this.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import hashlib
 import json
 import os
 import pathlib
 import pickle
 import tempfile
-from typing import Any, Dict, Optional, Protocol, Union
+from typing import Any, Dict, Optional, Protocol, TypeVar, Union
+
+R_co = TypeVar("R_co", covariant=True)
 
 
-class SupportsKey(Protocol):
-    """Any content-hashable spec the cache can store results under.
+def jsonable(value: Any) -> Any:
+    """Reduce a config value to deterministic JSON-serializable form."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in sorted(value.items())}
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"cannot key a spec containing {value!r}")
 
-    :class:`~repro.exp.spec.RunSpec`, :class:`~repro.crashtest.campaign.
-    CrashPointSpec` and :class:`~repro.litmus.spec.LitmusSpec` all
-    satisfy this, which is what lets one cache directory act as the
-    fabric's shared store across every task kind.
+
+def canonical_json(doc: Any) -> str:
+    """The one serialization content keys are computed over."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def content_key(doc: Any) -> str:
+    """SHA-256 hex digest of ``doc``'s canonical JSON."""
+    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+
+
+class Spec(Protocol[R_co]):
+    """A content-addressed cell: what the cache stores and executors run.
+
+    ``key()`` is ``content_key(describe())``; ``execute()`` computes the
+    result in the current process.  Structural, so each spec class
+    keeps its own ``key``/``execute`` methods.
     """
-
-    def key(self) -> str: ...
 
     def describe(self) -> Dict[str, Any]: ...
 
+    def key(self) -> str: ...
+
     def label(self) -> str: ...
+
+    def execute(self) -> R_co: ...
 
 
 class ResultCache:
@@ -50,8 +89,6 @@ class ResultCache:
     def __init__(self, root: Union[str, "os.PathLike[str]"]) -> None:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
 
     # -- paths --------------------------------------------------------------
 
@@ -61,7 +98,7 @@ class ResultCache:
     def _meta_path(self, key: str) -> pathlib.Path:
         return self.root / f"{key}.json"
 
-    def __contains__(self, spec: SupportsKey) -> bool:
+    def __contains__(self, spec: Spec[Any]) -> bool:
         return self._result_path(spec.key()).exists()
 
     def __len__(self) -> int:
@@ -69,7 +106,7 @@ class ResultCache:
 
     # -- access -------------------------------------------------------------
 
-    def get(self, spec: SupportsKey) -> Optional[Any]:
+    def get(self, spec: Spec[Any]) -> Optional[Any]:
         """Return the cached result for ``spec``, or None on a miss.
 
         A corrupt/truncated entry (e.g. a killed writer on a filesystem
@@ -80,19 +117,16 @@ class ResultCache:
             with path.open("rb") as fh:
                 result = pickle.load(fh)
         except FileNotFoundError:
-            self.misses += 1
             return None
         except Exception:
             # pickle.load raises opcode-dependent exceptions on garbage
             # bytes (ValueError, UnpicklingError, EOFError, ...); any
             # unreadable entry degrades to a miss and is evicted.
             path.unlink(missing_ok=True)
-            self.misses += 1
             return None
-        self.hits += 1
         return result
 
-    def put(self, spec: SupportsKey, result: Any) -> None:
+    def put(self, spec: Spec[Any], result: Any) -> None:
         key = spec.key()
         self._atomic_write(
             self._result_path(key), pickle.dumps(result, protocol=4)
@@ -127,4 +161,10 @@ class ResultCache:
         return removed
 
 
-__all__ = ["ResultCache", "SupportsKey"]
+__all__ = [
+    "ResultCache",
+    "Spec",
+    "canonical_json",
+    "content_key",
+    "jsonable",
+]

@@ -7,7 +7,9 @@ The lifecycle every driver (CLI ``compare``, the figure benchmarks,
    fully-specified :class:`~repro.exp.spec.RunSpec` cells.
 2. :func:`run_plan` executes the cells through a pluggable executor
    (serial or process fan-out), consulting an optional
-   :class:`~repro.exp.cache.ResultCache` first.  Cells are independent,
+   :class:`~repro.exp.cache.ResultCache` first.  The cache-then-map
+   step is :func:`run_specs`, which crash campaigns and litmus runs
+   share for their own spec kinds.  Cells are independent,
    so wall clock under ``jobs=N`` approaches the slowest cell, not the
    sum.
 3. :class:`SweepResult` aggregates (workload, model) cells with the
@@ -26,6 +28,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -38,11 +41,12 @@ from typing import (
     Set,
     Tuple,
     Type,
+    TypeVar,
     Union,
 )
 
 from repro.core.models import ModelSpec
-from repro.exp.cache import ResultCache
+from repro.exp.cache import ResultCache, Spec
 from repro.exp.executors import Executor, make_executor
 from repro.exp.spec import RunSpec, execute_spec
 from repro.sim.config import MachineConfig
@@ -51,6 +55,7 @@ from repro.workloads.base import Workload, WorkloadResult
 WorkloadRef = Union[str, Type[Workload]]
 ModelRef = Union[str, ModelSpec]
 CacheRef = Union[ResultCache, str, "os.PathLike[str]"]
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,34 @@ class PlanResult:
         return len(self.results)
 
 
+def run_specs(
+    specs: Sequence[Spec[R]],
+    cache: Optional[ResultCache],
+    executor: Executor,
+) -> Tuple[List[R], int]:
+    """Results of ``specs`` in order, and how many ``cache`` served.
+
+    The one cached fan-out every cell kind goes through: hits come from
+    the cache, only the misses are mapped (through :func:`execute_spec`)
+    over ``executor``, and each fresh result is stored back.  Without a
+    cache no key is computed.
+    """
+    results: List[Any] = [None] * len(specs)
+    pending: List[int] = []
+    for index, spec in enumerate(specs):
+        hit = cache.get(spec) if cache is not None else None
+        if hit is None:
+            pending.append(index)
+        else:
+            results[index] = hit
+    fresh = executor.map(execute_spec, [specs[index] for index in pending])
+    for index, result in zip(pending, fresh):
+        results[index] = result
+        if cache is not None:
+            cache.put(specs[index], result)
+    return results, len(specs) - len(pending)
+
+
 def run_plan(
     plan: ExperimentPlan,
     jobs: Optional[int] = None,
@@ -126,34 +159,14 @@ def run_plan(
     """
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
-    executor = executor or make_executor(jobs)
-
-    results: List[Optional[WorkloadResult]] = [None] * len(plan)
-    pending: List[Tuple[int, RunSpec]] = []
-    hits = 0
-    if cache is not None:
-        for index, spec in enumerate(plan.specs):
-            found = cache.get(spec)
-            if found is not None:
-                results[index] = found
-                hits += 1
-            else:
-                pending.append((index, spec))
-    else:
-        pending = list(enumerate(plan.specs))
-
-    if pending:
-        fresh = executor.map(execute_spec, [spec for _, spec in pending])
-        for (index, spec), result in zip(pending, fresh):
-            results[index] = result
-            if cache is not None:
-                cache.put(spec, result)
-
+    results, hits = run_specs(
+        plan.specs, cache, executor or make_executor(jobs)
+    )
     return PlanResult(
         plan=plan,
-        results=results,  # type: ignore[arg-type]  # every slot is filled
+        results=results,
         cache_hits=hits,
-        cache_misses=len(pending),
+        cache_misses=len(plan) - hits,
     )
 
 
@@ -350,4 +363,5 @@ __all__ = [
     "SweepResult",
     "run_grid",
     "run_plan",
+    "run_specs",
 ]

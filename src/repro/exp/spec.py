@@ -8,7 +8,8 @@ subsystem work:
 
 1. **Content addressability** -- :meth:`RunSpec.key` hashes every field
    that can influence the result, so an on-disk cache entry is valid iff
-   its key matches (see :mod:`repro.exp.cache`).
+   its key matches (see :mod:`repro.exp.cache`).  ``RunSpec`` is one of
+   the :class:`~repro.exp.cache.Spec` kinds.
 2. **Process portability** -- a spec is a frozen dataclass of plain
    values (names, enums, frozen configs), so it pickles cleanly into a
    ``ProcessPoolExecutor`` worker and back.
@@ -23,13 +24,11 @@ RNG and the simulator's :class:`~repro.sim.config.RunConfig` (the old
 from __future__ import annotations
 
 import dataclasses
-import enum
-import hashlib
-import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Type, Union
+from typing import Any, Dict, Optional, Type, TypeVar, Union
 
 from repro.core.models import ModelSpec, resolve_model
+from repro.exp.cache import Spec, content_key, jsonable
 from repro.sim.config import MachineConfig, RunConfig
 from repro.workloads.base import Workload, WorkloadResult, run_workload
 from repro.workloads.registry import get_workload
@@ -37,6 +36,8 @@ from repro.workloads.registry import get_workload
 #: Bump whenever the simulator's semantics change in a way that
 #: invalidates previously cached results (it participates in the key).
 SPEC_SCHEMA_VERSION = 1
+
+R = TypeVar("R")
 
 
 def _resolve_workload_name(workload: Union[str, Type[Workload]]) -> str:
@@ -55,24 +56,6 @@ def _resolve_workload_name(workload: Union[str, Type[Workload]]) -> str:
             )
         return name
     raise TypeError(f"workload must be a name or Workload class: {workload!r}")
-
-
-def _jsonable(value: Any) -> Any:
-    """Reduce a config value to deterministic JSON-serializable form."""
-    if isinstance(value, enum.Enum):
-        return value.value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise TypeError(f"cannot key a RunSpec containing {value!r}")
 
 
 @dataclass(frozen=True)
@@ -134,8 +117,8 @@ class RunSpec:
             "workload": self.workload,
             "hardware": self.model.hardware.value,
             "persistency": self.model.persistency.value,
-            "machine": _jsonable(self.machine),
-            "run_config": _jsonable(self.run_config()),
+            "machine": jsonable(self.machine),
+            "run_config": jsonable(self.run_config()),
             "ops_per_thread": self.ops_per_thread,
             "num_threads": self.num_threads,
             "seed": self.seed,
@@ -148,10 +131,7 @@ class RunSpec:
 
     def key(self) -> str:
         """Content hash identifying the result this spec produces."""
-        payload = json.dumps(
-            self.describe(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return content_key(self.describe())
 
     def label(self) -> str:
         return f"{self.workload}/{self.model.name}@seed{self.seed}"
@@ -187,8 +167,12 @@ class RunSpec:
         return result
 
 
-def execute_spec(spec: RunSpec) -> WorkloadResult:
-    """Module-level trampoline so executors can ship specs to workers."""
+def execute_spec(spec: Spec[R]) -> R:
+    """The one map function for spec work: ``spec.execute()``.
+
+    Module-level, so process pools and the fabric ship it to workers by
+    reference; every spec kind runs through it.
+    """
     return spec.execute()
 
 

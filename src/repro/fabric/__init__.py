@@ -3,9 +3,9 @@
 Shards :mod:`repro.exp` plans, crash-sweep campaigns, litmus
 enumerations, and bench suites across worker processes through a
 crash-safe directory queue; streams results incrementally as JSONL;
-dedupes via the content-hash :class:`repro.exp.cache.ResultCache` used
-as a shared store; and survives worker death (SIGKILL mid-task) through
-lease-based work stealing with zero lost or duplicated results.
+and survives worker death (SIGKILL mid-task) through lease-based work
+stealing with zero lost or duplicated results.  Caching stays with the
+driver: cache hits are served before the fabric sees a cell.
 
 See ``docs/fabric.md`` for the architecture and the exactly-once
 argument.
@@ -13,23 +13,20 @@ argument.
 
 from repro.fabric.executor import FabricExecutor
 from repro.fabric.queue import FabricQueue, LeaseInfo
-from repro.fabric.scheduler import FabricJob, FabricScheduler, FabricStalledError
+from repro.fabric.scheduler import FabricScheduler, FabricStalledError
 from repro.fabric.tasks import (
     FABRIC_SCHEMA_VERSION,
     FabricTaskError,
     TaskEnvelope,
     TaskOutcome,
     envelope_for,
-    execute_envelope,
     fingerprint_sha,
-    kind_for,
 )
 from repro.fabric.worker import worker_loop
 
 __all__ = [
     "FABRIC_SCHEMA_VERSION",
     "FabricExecutor",
-    "FabricJob",
     "FabricQueue",
     "FabricScheduler",
     "FabricStalledError",
@@ -38,8 +35,6 @@ __all__ = [
     "TaskEnvelope",
     "TaskOutcome",
     "envelope_for",
-    "execute_envelope",
     "fingerprint_sha",
-    "kind_for",
     "worker_loop",
 ]

@@ -4,14 +4,13 @@
 and a pool of worker *processes*, and runs an asynchronous pump thread
 that turns the queue's files into campaign results:
 
-- **submit** -- :meth:`submit` persists every task envelope (idempotent
-  by content hash) and returns a :class:`FabricJob` handle; many jobs
-  can be in flight at once (``repro serve`` multiplexes its HTTP
-  submissions exactly this way).
+- **submit** -- :meth:`map` persists one task envelope per item
+  (idempotent by content hash, so a repeated item runs once) and waits
+  for their results in input order.
 - **collect** -- each pump tick sweeps new result files into memory,
   appends one JSONL line per completed task to the incremental stream
   (``results.jsonl``), emits :class:`~repro.obs.events.Event`\\ s, and
-  releases finished jobs.
+  wakes the waiting :meth:`map`.
 - **steal** -- a lease whose owner pid is dead (SIGKILL, OOM) or whose
   age exceeds ``lease_timeout`` is reaped: the lease file is deleted,
   the task becomes claimable again, and some worker re-runs it.
@@ -32,17 +31,17 @@ must still converge byte-identically.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import signal
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.process import BaseProcess
 from typing import Any, Callable, Dict, IO, List, Optional, Sequence, Union
 
+from repro.exp.cache import canonical_json
 from repro.fabric.queue import FabricQueue
 from repro.fabric.tasks import (
     FabricTaskError,
@@ -58,7 +57,6 @@ class FabricStalledError(RuntimeError):
 
 @dataclass
 class _TaskMeta:
-    kind: str
     label: str
     retries: int = 0
 
@@ -70,59 +68,6 @@ class _WorkerRecord:
     dead: bool = False
 
 
-@dataclass
-class FabricJob:
-    """Handle on one submitted batch; results come back in input order."""
-
-    job_id: str
-    task_ids: List[str]
-    _scheduler: "FabricScheduler"
-    _done: threading.Event = field(default_factory=threading.Event)
-
-    @property
-    def total(self) -> int:
-        return len(self.task_ids)
-
-    @property
-    def completed(self) -> int:
-        outcomes = self._scheduler._outcomes
-        return sum(1 for tid in self.task_ids if tid in outcomes)
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def outcomes(self) -> List[Optional[TaskOutcome]]:
-        """Current per-task outcomes (None where still pending)."""
-        outcomes = self._scheduler._outcomes
-        return [outcomes.get(tid) for tid in self.task_ids]
-
-    def wait(self, timeout: Optional[float] = None) -> List[Any]:
-        """Block until every task finished; return values in input order.
-
-        Raises :class:`FabricTaskError` if any task errored and
-        :class:`FabricStalledError` if the worker pool died for good.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._done.wait(timeout=0.05):
-            self._scheduler._check_health()
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"fabric job {self.job_id} incomplete after {timeout}s "
-                    f"({self.completed}/{self.total} tasks)"
-                )
-        values: List[Any] = []
-        for tid in self.task_ids:
-            outcome = self._scheduler._outcomes[tid]
-            if not outcome.ok:
-                raise FabricTaskError(
-                    f"task {self._scheduler._meta[tid].label} failed: "
-                    f"{outcome.error}"
-                )
-            values.append(outcome.value)
-        return values
-
-
 class FabricScheduler:
     """Shard tasks over worker processes with lease-based retry."""
 
@@ -130,7 +75,6 @@ class FabricScheduler:
         self,
         jobs: int = 2,
         queue_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
-        cache_dir: Optional[str] = None,
         stream_path: Optional[str] = None,
         sinks: Optional[List[Any]] = None,
         poll_interval: float = 0.02,
@@ -149,7 +93,6 @@ class FabricScheduler:
             queue_dir = self._tmpdir.name
         self.queue = FabricQueue(queue_dir)
         self.queue.resume()  # a reused persistent queue may carry STOP
-        self.cache_dir = cache_dir
         self.sinks = list(sinks) if sinks else []
         self.poll_interval = poll_interval
         self.lease_timeout = lease_timeout
@@ -159,13 +102,13 @@ class FabricScheduler:
         self.chaos_kill_after = chaos_kill_after
 
         self._lock = threading.RLock()
+        #: notified by the pump whenever a task's outcome arrives.
+        self._progress = threading.Condition(self._lock)
         self._meta: Dict[str, _TaskMeta] = {}
         self._outcomes: Dict[str, TaskOutcome] = {}
-        self._jobs: List[FabricJob] = []
         self._workers: List[_WorkerRecord] = []
         self._worker_seq = 0
         self._respawns = 0
-        self._job_seq = 0
         self._event_seq = 0
         self._chaos_done = False
         self._stream: Optional[IO[str]] = None
@@ -178,15 +121,12 @@ class FabricScheduler:
             "tasks_deduped": 0,
             "tasks_completed": 0,
             "tasks_failed": 0,
-            "tasks_cached": 0,
             "tasks_retried": 0,
             "leases_stolen": 0,
             "workers_spawned": 0,
             "workers_died": 0,
             "workers_respawned": 0,
             "chaos_kills": 0,
-            "jobs_submitted": 0,
-            "jobs_completed": 0,
         }
 
     # -- lifecycle ----------------------------------------------------------
@@ -231,49 +171,53 @@ class FabricScheduler:
 
     # -- submission ---------------------------------------------------------
 
-    def submit(self, envelopes: Sequence[TaskEnvelope]) -> FabricJob:
-        """Persist ``envelopes`` and return a handle on their results.
-
-        Content-identical envelopes (within or across jobs) collapse
-        onto one task; every position still receives its result.
-        """
-        self.start()
-        with self._lock:
-            self._job_seq += 1
-            job = FabricJob(
-                job_id=f"job-{self._job_seq}",
-                task_ids=[env.task_id for env in envelopes],
-                _scheduler=self,
-            )
-            fresh = 0
-            for env in envelopes:
-                if env.task_id in self._meta:
-                    self.counters["tasks_deduped"] += 1
-                    continue
-                self._meta[env.task_id] = _TaskMeta(
-                    kind=env.kind, label=env.label
-                )
-                self.queue.add_task(env)
-                fresh += 1
-                self._emit("fabric_task", kind="submit", value=None)
-            self.counters["tasks_submitted"] += fresh
-            self.counters["jobs_submitted"] += 1
-            self._jobs.append(job)
-            self._refresh_jobs_locked()
-        return job
-
     def map(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
         timeout: Optional[float] = None,
     ) -> List[Any]:
-        """``executor.map`` semantics over the fabric (in input order)."""
-        items = list(items)
-        if not items:
-            return []
-        job = self.submit([envelope_for(fn, item) for item in items])
-        return job.wait(timeout=timeout)
+        """``executor.map`` semantics over the fabric (in input order).
+
+        Content-identical items (within or across calls) collapse onto
+        one task; every position still receives its result.  Raises
+        :class:`FabricTaskError` if any task errored and
+        :class:`FabricStalledError` if the worker pool died for good.
+        """
+        task_ids = [self._submit(envelope_for(fn, item)) for item in items]
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._progress:
+            while not self._progress.wait_for(
+                lambda: all(tid in self._outcomes for tid in task_ids),
+                timeout=0.05,
+            ):
+                self._check_health()
+                if deadline is not None and time.monotonic() > deadline:
+                    done = sum(1 for tid in task_ids if tid in self._outcomes)
+                    raise TimeoutError(
+                        f"fabric map incomplete after {timeout}s "
+                        f"({done}/{len(task_ids)} tasks)"
+                    )
+            outcomes = [self._outcomes[tid] for tid in task_ids]
+        for tid, outcome in zip(task_ids, outcomes):
+            if not outcome.ok:
+                raise FabricTaskError(
+                    f"task {self._meta[tid].label} failed: {outcome.error}"
+                )
+        return [outcome.value for outcome in outcomes]
+
+    def _submit(self, env: TaskEnvelope) -> str:
+        """Persist ``env`` unless a content-identical task exists."""
+        self.start()
+        with self._lock:
+            if env.task_id in self._meta:
+                self.counters["tasks_deduped"] += 1
+            else:
+                self._meta[env.task_id] = _TaskMeta(label=env.label)
+                self.queue.add_task(env)
+                self.counters["tasks_submitted"] += 1
+                self._emit("fabric_task", kind="submit", value=None)
+        return env.task_id
 
     # -- pump ---------------------------------------------------------------
 
@@ -305,17 +249,13 @@ class FabricScheduler:
                 meta = self._meta[task_id]
                 self._outcomes[task_id] = outcome
                 self.counters["tasks_completed"] += 1
-                if outcome.cached:
-                    self.counters["tasks_cached"] += 1
                 if not outcome.ok:
                     self.counters["tasks_failed"] += 1
                 self._stream_line(
                     {
                         "task": task_id[:16],
-                        "kind": meta.kind,
                         "label": meta.label,
                         "ok": outcome.ok,
-                        "cached": outcome.cached,
                         "worker": outcome.worker,
                         "attempt": meta.retries + 1,
                         "error": outcome.error,
@@ -326,7 +266,7 @@ class FabricScheduler:
                     kind="done" if outcome.ok else "error",
                     value=len(self._meta) - len(self._outcomes),
                 )
-                self._refresh_jobs_locked()
+                self._progress.notify_all()
 
     def _check_workers(self) -> None:
         with self._lock:
@@ -428,10 +368,7 @@ class FabricScheduler:
         ctx = multiprocessing.get_context()
         process = ctx.Process(
             target=_worker_entry,
-            args=(
-                str(self.queue.root), worker_id, self.cache_dir,
-                self.poll_interval,
-            ),
+            args=(str(self.queue.root), worker_id, self.poll_interval),
             name=f"fabric-{worker_id}",
             daemon=True,
         )
@@ -444,14 +381,6 @@ class FabricScheduler:
         self._emit(
             "fabric_worker", kind="respawn" if respawned else "spawn"
         )
-
-    def _refresh_jobs_locked(self) -> None:
-        for job in self._jobs:
-            if job.done:
-                continue
-            if all(tid in self._outcomes for tid in job.task_ids):
-                job._done.set()
-                self.counters["jobs_completed"] += 1
 
     def _check_health(self) -> None:
         with self._lock:
@@ -473,9 +402,7 @@ class FabricScheduler:
             path = self._stream_path or str(self.queue.stream_path)
             self._stream = open(path, "a")
         doc = {k: v for k, v in doc.items() if v is not None}
-        self._stream.write(
-            json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        self._stream.write(canonical_json(doc) + "\n")
         self._stream.flush()
 
     def _emit(self, event: str, kind: str, value: Optional[int] = None) -> None:
@@ -499,18 +426,10 @@ class FabricScheduler:
             return dict(self.counters)
 
 
-def _worker_entry(
-    queue_dir: str,
-    worker_id: str,
-    cache_dir: Optional[str],
-    poll_interval: float,
-) -> None:
+def _worker_entry(queue_dir: str, worker_id: str, poll_interval: float) -> None:
     from repro.fabric.worker import worker_loop
 
-    worker_loop(
-        queue_dir, worker_id, cache_dir=cache_dir,
-        poll_interval=poll_interval,
-    )
+    worker_loop(queue_dir, worker_id, poll_interval=poll_interval)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -521,4 +440,4 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-__all__ = ["FabricJob", "FabricScheduler", "FabricStalledError"]
+__all__ = ["FabricScheduler", "FabricStalledError"]

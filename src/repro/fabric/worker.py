@@ -26,30 +26,22 @@ import time
 from typing import Optional, Union
 
 from repro.fabric.queue import FabricQueue
-from repro.fabric.tasks import TaskOutcome, execute_envelope
+from repro.fabric.tasks import TaskOutcome
 
 
 def worker_loop(
     queue_dir: Union[str, "os.PathLike[str]"],
     worker_id: str,
-    cache_dir: Optional[str] = None,
     poll_interval: float = 0.02,
     max_idle_s: Optional[float] = None,
 ) -> int:
     """Claim-execute-report until the queue's STOP sentinel appears.
 
-    ``cache_dir`` makes the shared :class:`repro.exp.cache.ResultCache`
-    available to spec-kind tasks (hit = skip simulation; fresh results
-    are written back for every future tenant).  ``max_idle_s`` bounds
+    Each claimed envelope runs as ``fn(item)``.  ``max_idle_s`` bounds
     how long an externally attached worker lingers with nothing to do.
     Returns the number of tasks this worker completed.
     """
     queue = FabricQueue(queue_dir)
-    cache = None
-    if cache_dir is not None:
-        from repro.exp.cache import ResultCache
-
-        cache = ResultCache(cache_dir)
     completed = 0
     idle_since: Optional[float] = None
     while not queue.stopped():
@@ -64,10 +56,9 @@ def worker_loop(
             continue
         idle_since = None
         try:
-            value, cached = execute_envelope(env, cache=cache)
             outcome = TaskOutcome(
-                task_id=env.task_id, ok=True, value=value,
-                worker=worker_id, cached=cached,
+                task_id=env.task_id, ok=True, value=env.fn(env.item),
+                worker=worker_id,
             )
         except BaseException as exc:  # noqa: BLE001 -- report, don't die
             outcome = TaskOutcome(
@@ -79,17 +70,4 @@ def worker_loop(
     return completed
 
 
-def spawned_worker_main(
-    queue_dir: str,
-    worker_id: str,
-    cache_dir: Optional[str],
-    poll_interval: float,
-) -> None:
-    """Entry point for scheduler-spawned ``multiprocessing.Process``es."""
-    worker_loop(
-        queue_dir, worker_id, cache_dir=cache_dir,
-        poll_interval=poll_interval,
-    )
-
-
-__all__ = ["spawned_worker_main", "worker_loop"]
+__all__ = ["worker_loop"]

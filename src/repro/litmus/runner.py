@@ -2,10 +2,10 @@
 
 For each selected test the runner computes the axiomatic allowed-set
 once, then fans one :class:`~repro.litmus.spec.LitmusSpec` per
-registered RP model out through the shared experiment machinery
-(:class:`~repro.exp.cache.ResultCache` for content-addressed reuse,
-:func:`~repro.exp.executors.make_executor` for optional process
-parallelism), and classifies the per-cell state diff into a
+registered RP model out through the shared cached fan-out
+(:func:`~repro.exp.plan.run_specs`: a
+:class:`~repro.exp.cache.ResultCache` for content-addressed reuse, any
+executor for parallelism), and classifies the per-cell state diff into a
 :class:`~repro.litmus.report.LitmusReport`.
 
 EP-persistency designs are deliberately out of scope: under epoch
@@ -26,12 +26,9 @@ from repro.axiom.program import LitmusTest, format_state
 from repro.core.models import RP_MODELS, ModelSpec
 from repro.exp.cache import ResultCache
 from repro.exp.executors import Executor, make_executor
+from repro.exp.plan import run_specs
 from repro.litmus.report import CellDiff, LitmusReport
-from repro.litmus.spec import (
-    LitmusCellResult,
-    LitmusSpec,
-    execute_litmus_spec,
-)
+from repro.litmus.spec import LitmusSpec
 from repro.sim.config import MachineConfig
 
 
@@ -85,28 +82,13 @@ def run_litmus(
         if options.cache_dir is not None
         else None
     )
-    results: List[Optional[LitmusCellResult]] = [None] * len(specs)
-    missing: List[int] = []
-    for index, spec in enumerate(specs):
-        hit = cache.get(spec) if cache is not None else None
-        if hit is not None:
-            results[index] = hit
-        else:
-            missing.append(index)
-    if missing:
-        executor = options.executor or make_executor(options.jobs)
-        fresh = executor.map(
-            execute_litmus_spec, [specs[index] for index in missing]
-        )
-        for index, result in zip(missing, fresh):
-            results[index] = result
-            if cache is not None:
-                cache.put(specs[index], result)
+    results, _hits = run_specs(
+        specs, cache, options.executor or make_executor(options.jobs)
+    )
 
     by_test = {test.name: test for test in tests}
     cells: List[CellDiff] = []
     for result in results:
-        assert result is not None
         allowed_set = set(allowed[result.test])
         observed_set = set(result.states)
         cells.append(

@@ -4,11 +4,7 @@ import json
 
 import pytest
 
-from repro.crashtest import (
-    CrashPointSpec,
-    execute_crash_point,
-    run_campaign,
-)
+from repro.crashtest import CrashPointSpec, run_campaign
 from repro.exp import ResultCache
 from repro.obs.events import EventType
 
@@ -49,10 +45,10 @@ def test_unknown_workload_or_model_raises_early():
         CrashPointSpec("queue", "nope", 10)
 
 
-def test_execute_crash_point_is_deterministic():
+def test_crash_point_execute_is_deterministic():
     spec = CrashPointSpec("queue", "asap_rp", crash_cycle=300,
                           ops_per_thread=6)
-    assert execute_crash_point(spec) == execute_crash_point(spec)
+    assert spec.execute() == spec.execute()
 
 
 # -- smoke campaign ---------------------------------------------------------

@@ -59,13 +59,13 @@ def test_bench_case_runs_through_generic_call_kind():
 
 
 def test_attached_executor_reuses_one_scheduler():
+    # a live scheduler is itself an executor: plans mapped onto it share
+    # one worker pool and one task namespace.
     with FabricScheduler(jobs=2) as scheduler:
-        executor = FabricExecutor(scheduler=scheduler)
-        assert executor.jobs == scheduler.jobs
         plan = ExperimentPlan.grid(["queue"], ["asap_rp"],
                                    ops_per_thread=15)
-        first = run_plan(plan, executor=executor)
-        second = run_plan(plan, executor=executor)
+        first = run_plan(plan, executor=scheduler)
+        second = run_plan(plan, executor=scheduler)
         counters = scheduler.counters_snapshot()
     # the second plan's cells deduped onto the first's tasks in the
     # shared scheduler rather than spawning a second pool.

@@ -9,8 +9,8 @@ from repro.fabric import FabricQueue, TaskEnvelope, TaskOutcome
 
 
 def _env(task_id: str = "t1") -> TaskEnvelope:
-    return TaskEnvelope(task_id=task_id, kind="call",
-                        payload=(len, [1, 2]), label="call:len")
+    return TaskEnvelope(task_id=task_id, fn=len, item=[1, 2],
+                        label="call:len")
 
 
 def test_task_roundtrip_and_idempotent_add(tmp_path):

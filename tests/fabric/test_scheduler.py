@@ -8,7 +8,7 @@ import signal
 
 import pytest
 
-from repro.exp import ResultCache
+from repro.exp import ExperimentPlan, ResultCache, run_plan
 from repro.exp.spec import RunSpec, execute_spec
 from repro.fabric import (
     FabricScheduler,
@@ -79,25 +79,24 @@ def test_cross_job_dedupe_serves_duplicates_once():
     assert counters["tasks_submitted"] == 3
     assert counters["tasks_deduped"] == 3
     assert counters["tasks_completed"] == 3
-    assert counters["jobs_completed"] == 2
 
 
 def test_cache_dir_is_a_shared_store_across_schedulers(tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    specs = _specs(3)
-    with FabricScheduler(jobs=2, cache_dir=cache_dir) as warm:
-        warm.map(execute_spec, specs)
-    # a brand-new scheduler (fresh queue) must hit the store for every
-    # cell: no simulation happens twice anywhere on the fabric.
-    with FabricScheduler(jobs=2, cache_dir=cache_dir) as cold:
-        results = cold.map(execute_spec, specs)
+    cache = ResultCache(tmp_path / "cache")
+    plan = ExperimentPlan(_specs(3))
+    with FabricScheduler(jobs=2) as warm:
+        first = run_plan(plan, cache=cache, executor=warm)
+    # a brand-new scheduler (fresh queue) is never sent a cell: the
+    # driver serves every one from the store, so nothing is simulated
+    # twice anywhere on the fabric.
+    with FabricScheduler(jobs=2) as cold:
+        second = run_plan(plan, cache=cache, executor=cold)
         counters = cold.counters_snapshot()
-    assert counters["tasks_cached"] == 3
-    cache = ResultCache(cache_dir)
-    assert all(
-        cache.get(spec).fingerprint() == result.fingerprint()
-        for spec, result in zip(specs, results)
-    )
+    assert (first.cache_misses, second.cache_hits) == (3, 3)
+    assert counters["tasks_submitted"] == 0
+    assert [r.fingerprint() for r in first.results] == [
+        r.fingerprint() for r in second.results
+    ]
 
 
 def test_chaos_kill_converges_byte_identical(tmp_path):
@@ -120,7 +119,9 @@ def test_chaos_kill_converges_byte_identical(tmp_path):
     lines = [json.loads(line) for line in stream.read_text().splitlines()]
     assert len(lines) == len(specs)
     assert all(line["ok"] for line in lines)
-    assert all(line["kind"] == "run" for line in lines)
+    assert sorted(line["label"] for line in lines) == sorted(
+        spec.label() for spec in specs
+    )
 
 
 def test_task_exception_is_terminal_not_retried():
