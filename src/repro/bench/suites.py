@@ -220,7 +220,7 @@ def run_named_case(item: Tuple[str, str, int]) -> BenchResult:
 
     Bench cases close over lambdas, so they do not pickle; this resolves
     the case by name inside the worker instead, which is what lets a
-    suite fan out over process executors and the fabric.
+    suite fan out over a process pool (``repro bench --jobs N``).
     """
     suite, name, reps = item
     if suite == "sampled":
@@ -258,34 +258,26 @@ def run_case(case: BenchCase, reps: int) -> BenchResult:
     )
 
 
+def case_names(suite: str) -> List[str]:
+    """Every case name of ``suite``, in run order (what
+    :func:`run_named_case` resolves)."""
+    if suite == "sampled":
+        return [f"sampled/{w}/{m}" for w, m, _ops, _o in SAMPLED_CELLS]
+    return [case.name for case in suite_cases(suite)]
+
+
 def run_suite(
     suite: str,
     reps: int = 3,
     progress: Callable[[str, BenchResult], None] = lambda name, result: None,
-    executor=None,
 ) -> BenchRecord:
-    """Run every case of ``suite`` and assemble the canonical record.
+    """Run every case of ``suite`` in this process; the canonical record.
 
-    With ``executor`` (e.g. a :class:`repro.fabric.FabricExecutor`) the
-    cases fan out as ``(suite, name, reps)`` items through
-    :func:`run_named_case`.  Wall-clock numbers then come from separate
-    worker processes -- fine for throughput surveys, but the CI perf
-    gate keeps the serial path for minimal measurement noise.
+    The CI perf gate uses this serial path for minimal measurement
+    noise.  ``repro bench --jobs N`` instead maps :func:`run_named_case`
+    over :func:`case_names` in a process pool, for throughput surveys.
     """
     results: List[BenchResult] = []
-    if executor is not None:
-        if suite == "sampled":
-            names = [
-                f"sampled/{w}/{m}" for w, m, _ops, _o in SAMPLED_CELLS
-            ]
-        else:
-            names = [case.name for case in suite_cases(suite)]
-        results = executor.map(
-            run_named_case, [(suite, name, reps) for name in names]
-        )
-        for result in results:
-            progress(result.name, result)
-        return BenchRecord.build(suite=suite, results=results)
     if suite == "sampled":
         # sampled cases produce their own BenchResult (they time the
         # sampled run, not the validating full run beside it).
@@ -309,6 +301,7 @@ __all__ = [
     "SAMPLED_CELLS",
     "SMOKE_CELLS",
     "SUITES",
+    "case_names",
     "macro_cases",
     "micro_cases",
     "run_case",

@@ -29,17 +29,14 @@ workflow:
   stream, cluster it into phases, simulate only phase representatives,
   extrapolate full-run statistics; ``--validate`` runs the full
   simulation alongside and reports per-metric relative error.
-- ``fabric``  -- the distributed experiment fabric: run a grid with
-  content fingerprints (``grid``), attach an external worker to a
-  shared queue (``worker``), or inspect a queue (``status``).
 - ``list``    -- enumerate workloads and models.
 
 Model names come from the canonical registry
 (:data:`repro.core.models.MODEL_REGISTRY`).  Commands that run cells
 through :func:`repro.exp.run_specs` (``run``, ``compare``,
-``crashtest``, ``litmus``, ``fabric grid``) understand ``--cache-dir
-DIR`` (deterministic result reuse); those that fan out understand
-``--jobs N``.
+``crashtest``, ``litmus``) understand ``--cache-dir DIR``
+(deterministic result reuse); those that fan out understand ``--jobs N``
+(a process pool that re-runs any cell a dead worker lost).
 """
 
 from __future__ import annotations
@@ -58,7 +55,14 @@ from repro.core.models import (
     STANDARD_MODELS,
     resolve_model,
 )
-from repro.exp import ResultCache, RunSpec, run_grid, run_plan, ExperimentPlan
+from repro.exp import (
+    ExperimentPlan,
+    ResultCache,
+    RunSpec,
+    make_executor,
+    run_grid,
+    run_plan,
+)
 from repro.sim.config import MachineConfig
 from repro.verify import check_consistency
 from repro.workloads import get_workload, workload_names
@@ -76,24 +80,6 @@ def _machine_config(args) -> MachineConfig:
 
 def _cache(args) -> Optional[ResultCache]:
     return ResultCache(args.cache_dir) if args.cache_dir else None
-
-
-def _fabric_executor(args):
-    """A FabricExecutor when ``--fabric`` was given, else None.
-
-    None lets every driver fall back to its classic ``make_executor``
-    path, so ``--fabric`` is purely additive.
-    """
-    if not getattr(args, "fabric", False):
-        return None
-    from repro.fabric import FabricExecutor
-
-    return FabricExecutor(
-        jobs=getattr(args, "jobs", None) or 2,
-        queue_dir=getattr(args, "queue", None),
-        stream_path=getattr(args, "stream", None),
-        chaos_kill_after=getattr(args, "chaos_kill", None),
-    )
 
 
 def cmd_list(_args) -> int:
@@ -334,7 +320,6 @@ def cmd_crashtest(args) -> int:
             cache=_cache(args),
             sinks=sinks,
             save_dir=args.save_failures,
-            executor=_fabric_executor(args),
         )
     finally:
         if jsonl is not None:
@@ -405,7 +390,6 @@ def cmd_litmus(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        executor=_fabric_executor(args),
     )
     if args.models:
         options.models = [resolve_model(m) for m in args.models]
@@ -514,11 +498,16 @@ def cmd_sample(args) -> int:
         print(f"sample: {exc}", file=sys.stderr)
         return 2
     runner = validate_sampled if args.validate else run_sampled
-    report = runner(
-        args.workload, args.model, ops_per_thread=args.ops,
-        num_threads=args.threads, seed=args.seed, config=config,
-        machine_config=_machine_config(args),
-    )
+    try:
+        report = runner(
+            args.workload, args.model, ops_per_thread=args.ops,
+            num_threads=args.threads, seed=args.seed, config=config,
+            machine_config=_machine_config(args),
+        )
+    except Exception as exc:
+        print(f"sample: {args.workload}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
 
     headers = ["metric", "estimate", "margin"]
     if args.validate:
@@ -557,6 +546,7 @@ def cmd_bench(args) -> int:
         parse_max_regress,
         run_suite,
     )
+    from repro.bench.suites import case_names, run_named_case
 
     if args.compare:
         base_path, new_path = args.compare
@@ -581,105 +571,19 @@ def cmd_bench(args) -> int:
 
     suite = "sampled" if args.sampled else args.suite
     print(f"running bench suite {suite!r} ({args.reps} reps per case)")
-    record = run_suite(
-        suite, reps=args.reps, progress=progress,
-        executor=_fabric_executor(args),
-    )
+    if args.jobs is not None and args.jobs > 1:
+        results = make_executor(args.jobs).map(
+            run_named_case,
+            [(suite, name, args.reps) for name in case_names(suite)],
+        )
+        for result in results:
+            progress(result.name, result)
+        record = BenchRecord.build(suite=suite, results=results)
+    else:
+        record = run_suite(suite, reps=args.reps, progress=progress)
     out = args.out or record.default_filename()
     record.save(out)
     print(f"wrote {out} (git {record.git_sha[:12]})")
-    return 0
-
-
-def cmd_fabric(args) -> int:
-    import json as _json
-    import os as _os
-
-    if args.mode == "worker":
-        from repro.fabric import worker_loop
-
-        if not args.queue:
-            print("fabric worker: --queue DIR is required", file=sys.stderr)
-            return 2
-        worker_id = args.worker_id or f"ext-{_os.getpid()}"
-        print(f"fabric worker {worker_id} joining queue {args.queue}")
-        completed = worker_loop(args.queue, worker_id,
-                                max_idle_s=args.max_idle)
-        print(f"fabric worker {worker_id} exited after {completed} task(s)")
-        return 0
-
-    if args.mode == "status":
-        from repro.fabric import FabricQueue
-
-        if not args.queue:
-            print("fabric status: --queue DIR is required", file=sys.stderr)
-            return 2
-        queue = FabricQueue(args.queue, create=False)
-        doc = {
-            "queue": str(queue.root),
-            "tasks": len(queue.task_ids()),
-            "leases": len(queue.lease_ids()),
-            "results": len(queue.result_ids()),
-            "stopped": queue.stopped(),
-        }
-        print(_json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-
-    # grid: run a workloads x models plan through the fabric (or, with
-    # --serial, in-process) and report content fingerprints per cell --
-    # the document the CI fabric-gate byte-compares across substrates.
-    from repro.fabric import fingerprint_sha
-
-    names = args.workloads or [cls.name for cls in MICROBENCHES]
-    models = args.models or ["baseline", "asap_rp"]
-    plan = ExperimentPlan.grid(
-        names,
-        models,
-        machine=_machine_config(args),
-        ops_per_thread=args.ops,
-        num_threads=args.threads,
-        seeds=(args.seed,),
-    )
-    executor = None
-    if not args.serial:
-        from repro.fabric import FabricExecutor
-
-        executor = FabricExecutor(
-            jobs=args.jobs or 2,
-            queue_dir=args.queue,
-            stream_path=args.stream,
-            chaos_kill_after=args.chaos_kill,
-        )
-    outcome = run_plan(plan, cache=_cache(args), executor=executor)
-    cells = [
-        {
-            "workload": spec.workload,
-            "model": spec.model.name,
-            "seed": spec.seed,
-            "fingerprint_sha": fingerprint_sha(result),
-        }
-        for spec, result in outcome
-    ]
-    doc = {
-        "kind": "fabric-grid",
-        "workloads": names,
-        "models": models,
-        "ops": args.ops,
-        "threads": args.threads,
-        "seed": args.seed,
-        "cells": cells,
-    }
-    for cell in cells:
-        print(f"  {cell['workload']:>12s} {cell['model']:>12s}  "
-              f"{cell['fingerprint_sha'][:16]}")
-    mode = "serial" if args.serial else f"fabric jobs={args.jobs or 2}"
-    print(f"{len(cells)} cell(s) via {mode}; "
-          f"cache hits {outcome.cache_hits}, misses {outcome.cache_misses}")
-    if args.out:
-        with open(args.out, "w") as handle:
-            _json.dump(doc, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -712,8 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _jobs_flag(p):
         p.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes (default: serial, or 2 "
-                       "on the fabric)")
+                       help="worker processes (default: serial)")
 
     def common(p, machine=True):
         if machine:
@@ -724,30 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--cache-dir", metavar="DIR",
                        help="reuse deterministic results cached here")
-
-    def _fabric_flags(p, switch=True, attach=True):
-        """--jobs, plus --fabric unless the command always runs on the
-        fabric, plus the queue flags unless it cannot attach workers."""
-        _jobs_flag(p)
-        if switch:
-            p.add_argument("--fabric", action="store_true",
-                           help="run on the fault-tolerant distributed "
-                           "fabric (survives worker death; "
-                           "byte-identical output)")
-        if not attach:
-            return
-        p.add_argument("--queue", metavar="DIR",
-                       help="fabric queue directory (default: a private "
-                       "temp dir; share one to attach external workers "
-                       "via 'repro fabric worker'; required by fabric "
-                       "worker/status)")
-        p.add_argument("--stream", metavar="PATH",
-                       help="append one JSONL progress line per "
-                       "completed task here (incremental results)")
-        p.add_argument("--chaos-kill", type=int, default=None, metavar="N",
-                       help="fault injection: SIGKILL one fabric worker "
-                       "after N completed tasks (the CI fabric-gate "
-                       "hook)")
 
     p_list = sub.add_parser("list", help="list workloads and models")
     p_list.set_defaults(func=cmd_list)
@@ -845,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "from this checkpoint anchor (repro ckpt output) "
                       "and re-adjudicate the resimulated state")
     common(p_ct)
-    _fabric_flags(p_ct)
+    _jobs_flag(p_ct)
     # each crash point re-simulates its prefix: short cells by default.
     p_ct.set_defaults(func=cmd_crashtest, ops=24)
 
@@ -887,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lit.add_argument("--verbose", action="store_true",
                        help="also print unobserved (too-strong) states")
     common(p_lit, machine=False)
-    _fabric_flags(p_lit)
+    _jobs_flag(p_lit)
     p_lit.set_defaults(func=cmd_litmus)
 
     from repro.bench.suites import SUITES
@@ -914,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--max-regress", default="10%",
                          help="allowed per-bench throughput drop for "
                          "--compare, e.g. '10%%' or '0.1' (default: 10%%)")
-    _fabric_flags(p_bench, attach=False)
+    _jobs_flag(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_ckpt = sub.add_parser(
@@ -966,35 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sample)
     # sampling only pays off on longer streams than the 100-op default.
     p_sample.set_defaults(func=cmd_sample, ops=2000)
-
-    p_fab = sub.add_parser(
-        "fabric",
-        help="distributed experiment fabric: grid / worker / status",
-    )
-    p_fab.add_argument("mode", choices=("grid", "worker", "status"),
-                       help="grid: run a workloads x models plan and "
-                       "print content fingerprints; worker: attach an "
-                       "external worker to a queue; status: inspect a "
-                       "queue directory")
-    p_fab.add_argument("--workloads", nargs="*", metavar="NAME",
-                       help="grid rows (default: the microbench set)")
-    p_fab.add_argument("--models", nargs="*", choices=_MODEL_CHOICE_NAMES,
-                       metavar="MODEL",
-                       help="grid columns (default: baseline asap_rp)")
-    p_fab.add_argument("--serial", action="store_true",
-                       help="bypass the fabric and run in-process (the "
-                       "reference for byte-identity checks)")
-    p_fab.add_argument("--out", metavar="PATH",
-                       help="write the canonical grid document here")
-    p_fab.add_argument("--worker-id", metavar="ID",
-                       help="worker mode: stable worker name "
-                       "(default: ext-<pid>)")
-    p_fab.add_argument("--max-idle", type=float, default=None, metavar="S",
-                       help="worker mode: exit after S seconds with "
-                       "nothing to claim")
-    common(p_fab)
-    _fabric_flags(p_fab, switch=False)
-    p_fab.set_defaults(func=cmd_fabric)
 
     p_crash = sub.add_parser("crash", help="crash a run and check recovery")
     p_crash.add_argument("workload")

@@ -42,7 +42,6 @@ from repro.crashtest.points import (
     enumerate_crash_points,
     stratified_cycles,
     trace_reference,
-    trace_reference_programs,
 )
 from repro.crashtest.serialize import (
     STATE_KIND,
@@ -78,5 +77,4 @@ __all__ = [
     "shrink_media",
     "stratified_cycles",
     "trace_reference",
-    "trace_reference_programs",
 ]

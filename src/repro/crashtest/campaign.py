@@ -343,16 +343,12 @@ def run_campaign(
     sinks: Optional[List] = None,
     save_dir: Optional[str] = None,
     minimize: bool = True,
-    executor=None,
 ) -> CampaignReport:
     """Sweep every (workload, model) cell and adjudicate every point.
 
     ``cache`` is a :class:`repro.exp.cache.ResultCache` (or None);
     ``sinks`` receive one ``CRASH_POINT`` event per adjudicated point;
     ``save_dir`` is where minimized failing states are serialized.
-    ``executor`` overrides ``jobs`` when given -- passing a
-    :class:`repro.fabric.FabricExecutor` runs the sweep on the
-    fault-tolerant fabric with byte-identical output.
     """
     machine = machine or MachineConfig()
     specs_by_cell: Dict[Tuple[str, str], List[CrashPointSpec]] = {}
@@ -365,8 +361,9 @@ def run_campaign(
             workload = get_workload(name, ops_per_thread=ops_per_thread,
                                     seed=seed)
             reference = trace_reference(
-                workload, machine, model.run_config(seed=seed),
-                num_threads=num_threads,
+                machine, model.run_config(seed=seed),
+                workload.programs(PMAllocator(),
+                                  num_threads or machine.num_cores),
             )
             identity = {
                 "schema": CRASHTEST_SCHEMA_VERSION,
@@ -393,9 +390,7 @@ def run_campaign(
 
     # phase 2: one cached fan-out over every crash point
     all_specs = [s for specs in specs_by_cell.values() for s in specs]
-    results, hits = run_specs(
-        all_specs, cache, executor or make_executor(jobs)
-    )
+    results, hits = run_specs(all_specs, cache, make_executor(jobs))
 
     # phase 3: assemble cells, emit events, minimize failures
     report = CampaignReport(

@@ -17,7 +17,8 @@ this package:
   behind crash campaigns and litmus runs).
 - :class:`SerialExecutor` / :class:`ParallelExecutor`
   (:mod:`repro.exp.executors`) -- in-process or ``--jobs N`` process
-  fan-out; identical results either way.
+  fan-out; identical results either way, and a dead worker's cells are
+  re-run in a fresh pool.
 - :class:`ResultCache` (:mod:`repro.exp.cache`) -- content-addressed
   on-disk store; re-running a suite skips already-computed cells.
 - :func:`run_grid` -- the one-call driver returning a
@@ -49,7 +50,7 @@ from repro.exp.plan import (
     run_plan,
     run_specs,
 )
-from repro.exp.spec import RunSpec, execute_spec
+from repro.exp.spec import RunSpec, execute_spec, fingerprint_sha
 
 __all__ = [
     "Executor",
@@ -66,6 +67,7 @@ __all__ = [
     "canonical_json",
     "content_key",
     "execute_spec",
+    "fingerprint_sha",
     "jsonable",
     "make_executor",
     "run_grid",

@@ -8,15 +8,15 @@ results *in input order*.  Implementations:
 - :class:`ParallelExecutor` -- fans items out over a
   ``concurrent.futures.ProcessPoolExecutor`` with ``jobs`` workers.
   Simulation cells are CPU-bound pure Python, so processes (not threads)
-  are the only way to use more than one core.
-- :class:`repro.fabric.executor.FabricExecutor` -- the fault-tolerant
-  distributed fabric; same :class:`Executor` protocol, survives worker
-  death (where :class:`ParallelExecutor` raises
-  :class:`WorkerDiedError`).
+  are the only way to use more than one core.  A worker that dies
+  (SIGKILL, OOM) breaks its pool; the items that pool lost are re-run
+  in a fresh one.
 
 Because every cell is deterministic given its :class:`~repro.exp.spec.
 RunSpec`, the executors are interchangeable: same plan, same results,
-different wall-clock (see ``tests/exp/test_determinism.py``).
+different wall-clock (see ``tests/exp/test_determinism.py``).  The same
+determinism makes re-running a lost cell safe: the retry reproduces the
+result the dead worker would have returned, byte for byte.
 """
 
 from __future__ import annotations
@@ -24,10 +24,23 @@ from __future__ import annotations
 import concurrent.futures
 import os
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Protocol, Sequence, TypeVar
+from typing import (
+    Any,
+    Callable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: fresh pools one :meth:`ParallelExecutor.map` may start to re-run the
+#: items a broken pool lost, before it gives up.
+POOL_RETRIES = 3
 
 
 class Executor(Protocol):
@@ -41,12 +54,8 @@ class Executor(Protocol):
 
 
 class WorkerDiedError(RuntimeError):
-    """A pool worker died (SIGKILL, OOM) before returning its results.
-
-    The process-pool backend cannot tell which items finished, so the
-    whole ``map`` is lost.  Re-run, or use the fabric executor
-    (``--fabric``), which retries the affected cells automatically.
-    """
+    """Pool workers kept dying: some items were lost by the first pool
+    and by every one of its :data:`POOL_RETRIES` replacements."""
 
 
 class SerialExecutor:
@@ -64,10 +73,11 @@ class SerialExecutor:
 class ParallelExecutor:
     """Fan items out across ``jobs`` worker processes.
 
-    ``fn`` and every item must be picklable (RunSpec and WorkloadResult
+    ``fn`` and every item must be picklable (specs and their results
     are, by design).  Results come back in input order regardless of
     completion order, so parallel runs are drop-in replacements for
-    serial ones.
+    serial ones.  An exception raised by ``fn`` propagates unchanged;
+    only a dead worker triggers a retry.
     """
 
     def __init__(self, jobs: Optional[int] = None) -> None:
@@ -80,25 +90,66 @@ class ParallelExecutor:
         if not items:
             return []
         # A pool wider than the work list just burns fork latency.
-        workers = min(self.jobs, len(items))
-        if workers == 1:
+        if min(self.jobs, len(items)) == 1:
             return [fn(item) for item in items]
-        # Chunk to amortize per-task IPC, but keep at least ~4 chunks per
-        # worker in flight so uneven cell runtimes still balance.
-        chunksize = max(1, len(items) // (workers * 4))
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            try:
-                return list(pool.map(fn, items, chunksize=chunksize))
-            except BrokenProcessPool as exc:
-                raise WorkerDiedError(
-                    f"a worker process died while mapping {len(items)} "
-                    f"items over {workers} workers; partial results were "
-                    f"discarded (use the fabric executor for automatic "
-                    f"retry)"
-                ) from exc
+        results: List[Any] = [None] * len(items)
+        pending = list(range(len(items)))
+        for _attempt in range(1 + POOL_RETRIES):
+            pending = _map_in_fresh_pool(
+                fn, [(index, items[index]) for index in pending],
+                results, self.jobs,
+            )
+            if not pending:
+                return results
+        raise WorkerDiedError(
+            f"a worker process died in each of {1 + POOL_RETRIES} pools; "
+            f"lost {len(pending)} of {len(items)} items: "
+            f"{_describe([items[index] for index in pending])}"
+        )
 
     def __repr__(self) -> str:
         return f"ParallelExecutor(jobs={self.jobs})"
+
+
+def _map_in_fresh_pool(
+    fn: Callable[[T], R],
+    work: List[Tuple[int, T]],
+    results: List[Any],
+    jobs: int,
+) -> List[int]:
+    """Run ``work`` in one new pool, filling ``results`` by index.
+
+    Returns the indices the pool lost because a worker died: the item
+    that killed it and every item not yet finished when it broke.
+    """
+    lost: List[int] = []
+    pool = concurrent.futures.ProcessPoolExecutor(min(jobs, len(work)))
+    try:
+        futures = []
+        for index, item in work:
+            try:
+                futures.append((index, pool.submit(fn, item)))
+            except BrokenProcessPool:
+                lost.append(index)
+        for index, future in futures:
+            try:
+                results[index] = future.result()
+            except BrokenProcessPool:
+                lost.append(index)
+    finally:
+        # on an exception from ``fn``, do not run the rest of the queue.
+        pool.shutdown(wait=True, cancel_futures=True)
+    return sorted(lost)
+
+
+def _describe(items: List[Any], limit: int = 8) -> str:
+    """Item labels (a spec's ``label()``, else its repr), capped."""
+    names = [
+        str(item.label()) if hasattr(item, "label") else repr(item)
+        for item in items[:limit]
+    ]
+    more = len(items) - limit
+    return ", ".join(names) + (f", and {more} more" if more > 0 else "")
 
 
 def make_executor(jobs: Optional[int] = None) -> Executor:
@@ -113,6 +164,7 @@ def make_executor(jobs: Optional[int] = None) -> Executor:
 
 __all__ = [
     "Executor",
+    "POOL_RETRIES",
     "ParallelExecutor",
     "SerialExecutor",
     "WorkerDiedError",

@@ -170,10 +170,19 @@ class RunSpec:
 def execute_spec(spec: Spec[R]) -> R:
     """The one map function for spec work: ``spec.execute()``.
 
-    Module-level, so process pools and the fabric ship it to workers by
-    reference; every spec kind runs through it.
+    Module-level, so process pools ship it to workers by reference;
+    every spec kind runs through it.
     """
     return spec.execute()
 
 
-__all__ = ["RunSpec", "SPEC_SCHEMA_VERSION", "execute_spec"]
+def fingerprint_sha(result: WorkloadResult) -> str:
+    """Stable hex digest of a run's :meth:`WorkloadResult.fingerprint`.
+
+    Compares two runs of the same cell (serial vs parallel, fresh vs
+    cached) without shipping the whole stats registry.
+    """
+    return content_key(result.fingerprint())
+
+
+__all__ = ["RunSpec", "SPEC_SCHEMA_VERSION", "execute_spec", "fingerprint_sha"]

@@ -25,7 +25,7 @@ from repro.axiom.allowed import allowed_states
 from repro.axiom.program import LitmusTest, format_state
 from repro.core.models import RP_MODELS, ModelSpec
 from repro.exp.cache import ResultCache
-from repro.exp.executors import Executor, make_executor
+from repro.exp.executors import make_executor
 from repro.exp.plan import run_specs
 from repro.litmus.report import CellDiff, LitmusReport
 from repro.litmus.spec import LitmusSpec
@@ -42,10 +42,6 @@ class LitmusRunOptions:
     machine: MachineConfig = field(default_factory=MachineConfig)
     jobs: Optional[int] = None
     cache_dir: Optional[Union[str, Path]] = None
-    #: overrides ``jobs`` when set -- e.g. a
-    #: :class:`repro.fabric.FabricExecutor` to run the enumeration on
-    #: the fault-tolerant fabric.
-    executor: Optional[Executor] = None
 
 
 def run_litmus(
@@ -82,9 +78,7 @@ def run_litmus(
         if options.cache_dir is not None
         else None
     )
-    results, _hits = run_specs(
-        specs, cache, options.executor or make_executor(options.jobs)
-    )
+    results, _hits = run_specs(specs, cache, make_executor(options.jobs))
 
     by_test = {test.name: test for test in tests}
     cells: List[CellDiff] = []

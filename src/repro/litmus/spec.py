@@ -10,8 +10,7 @@ the spec's identity covers the exact program, not just its name.
 Executing a cell:
 
 1. trace one full reference run to learn the drain horizon and the
-   epoch-commit cycles (:func:`repro.crashtest.points
-   .trace_reference_programs`);
+   epoch-commit cycles (:func:`repro.crashtest.points.trace_reference`);
 2. enumerate crash cycles (commit boundaries + stratified random,
    seeded from the spec's content hash), plus cycle 1 and one
    past-drain cycle for the pristine and fully-drained images;
@@ -34,10 +33,7 @@ from repro.axiom.program import INIT, LINE, LitmusTest, NVMState, format_state
 from repro.core.api import Op
 from repro.core.crash import run_and_crash
 from repro.core.models import ModelSpec, resolve_model
-from repro.crashtest.points import (
-    enumerate_crash_points,
-    trace_reference_programs,
-)
+from repro.crashtest.points import enumerate_crash_points, trace_reference
 from repro.exp.cache import content_key, jsonable
 from repro.sim.config import MachineConfig, RunConfig
 from repro.trace.ops import decode_op, encode_op
@@ -128,10 +124,7 @@ class LitmusSpec:
 
     def execute(self) -> "LitmusCellResult":
         run_config = self.run_config()
-        programs = self.programs()
-        reference = trace_reference_programs(
-            self.machine, run_config, programs
-        )
+        reference = trace_reference(self.machine, run_config, self.programs())
         cycles = set(
             enumerate_crash_points(reference, self.points, self.describe())
         )

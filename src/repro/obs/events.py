@@ -67,15 +67,6 @@ class EventType(enum.Enum):
     #: "ok"/"violation", ``value`` = number of violations; emitted by
     #: :mod:`repro.crashtest`, not by the simulator).
     CRASH_POINT = "crash_point"
-    #: the fabric scheduler moved one task (``kind`` = "submit"/"done"/
-    #: "error", ``value`` = tasks still pending; emitted by
-    #: :mod:`repro.fabric`, not by the simulator).
-    FABRIC_TASK = "fabric_task"
-    #: the fabric stole a dead/expired lease (``value`` = retry count).
-    FABRIC_LEASE = "fabric_lease"
-    #: fabric worker-pool lifecycle (``kind`` = "spawn"/"death"/
-    #: "respawn"/"chaos-kill").
-    FABRIC_WORKER = "fabric_worker"
 
 
 class StallReason(enum.Enum):

@@ -144,6 +144,35 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_bench_jobs_reaches_the_pool(tmp_path, capsys, monkeypatch):
+    import repro.bench.suites as suites_mod
+    from repro.exp import ParallelExecutor
+
+    # pool workers fork after the patch, so they resolve the same cases
+    monkeypatch.setattr(
+        suites_mod, "suite_cases",
+        lambda suite: [BenchCase(name=f"micro/tiny{i}",
+                                 run=lambda: bench_event_queue(500))
+                       for i in range(2)],
+    )
+    mapped = []
+    real_map = ParallelExecutor.map
+
+    def spy(self, fn, items):
+        mapped.append((self.jobs, list(items)))
+        return real_map(self, fn, items)
+
+    monkeypatch.setattr(ParallelExecutor, "map", spy)
+    out = tmp_path / "BENCH_jobs.json"
+    assert main(["bench", "--suite", "micro", "--reps", "1", "--jobs", "2",
+                 "--out", str(out)]) == 0
+    assert mapped == [(2, [("micro", "micro/tiny0", 1),
+                           ("micro", "micro/tiny1", 1)])]
+    record = BenchRecord.load(str(out))
+    assert [r.name for r in record.results] == ["micro/tiny0", "micro/tiny1"]
+    assert all(r.ops > 0 and r.events > 0 for r in record.results)
+
+
 def test_cli_bench_runs_micro_suite(tmp_path, capsys, monkeypatch):
     # shrink the micro suite so the CLI path stays fast in tier-1
     import repro.bench.suites as suites_mod

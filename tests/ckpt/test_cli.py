@@ -88,6 +88,19 @@ def test_sample_cli_rejects_bad_config(capsys):
     assert "interval_ops" in capsys.readouterr().err
 
 
+def test_sample_cli_failure_is_one_line(capsys, monkeypatch):
+    import repro.sample
+
+    def broken(*args, **kwargs):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(repro.sample, "run_sampled", broken)
+    assert main(["sample", "heap", "--ops", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sample: heap: IndexError: list index out of range\n"
+
+
 def test_crashtest_from_checkpoint_requires_replay(capsys):
     code = main(["crashtest", "--from-checkpoint", "x.json"])
     assert code == 2

@@ -63,6 +63,11 @@ def test_smoke_campaign_is_clean_and_deterministic():
     assert "cache_hits" not in first.to_json()
 
 
+def test_run_campaign_jobs_is_byte_identical():
+    kwargs = dict(ops_per_thread=10, points=5)
+    assert _smoke(jobs=2, **kwargs).to_json() == _smoke(**kwargs).to_json()
+
+
 def test_campaign_cache_round_trip(tmp_path):
     cache = ResultCache(str(tmp_path))
     first = _smoke(cache=cache)

@@ -60,6 +60,18 @@ def test_cache_dir_round_trip(capsys, tmp_path):
     assert out1 == out2
 
 
+def test_jobs_out_is_byte_identical_to_serial(capsys, tmp_path):
+    argv = ("queue", "--models", "baseline", "asap_rp", "--points", "4",
+            "--ops", "16", "--threads", "1")
+    serial_out = tmp_path / "serial.json"
+    parallel_out = tmp_path / "parallel.json"
+    code1, _ = _run(capsys, *argv, "--out", str(serial_out))
+    code2, _ = _run(capsys, *argv, "--jobs", "2", "--out", str(parallel_out))
+    assert code1 == code2 == 0
+    assert serial_out.read_bytes() == parallel_out.read_bytes()
+    assert len(json.loads(serial_out.read_text())["cells"]) == 2
+
+
 def test_failing_campaign_exits_nonzero_and_replays(capsys, tmp_path):
     save_dir = tmp_path / "failures"
     code, out = _run(

@@ -1,5 +1,6 @@
 """Crash-point enumeration: deterministic, structured, in-bounds."""
 
+from repro.core.api import PMAllocator
 from repro.core.models import resolve_model
 from repro.crashtest.points import (
     ReferenceRun,
@@ -82,8 +83,10 @@ def test_stratified_cycles_cover_all_strata():
 def test_trace_reference_finds_commits_on_buffered_designs():
     workload = get_workload("queue", ops_per_thread=6)
     model = resolve_model("asap_rp")
+    machine = MachineConfig()
     ref = trace_reference(
-        workload, MachineConfig(), model.run_config(seed=7)
+        machine, model.run_config(seed=7),
+        workload.programs(PMAllocator(), machine.num_cores),
     )
     assert ref.drain_cycles > 0
     assert ref.commit_cycles  # the epoch table committed something

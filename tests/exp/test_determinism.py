@@ -14,6 +14,7 @@ from repro.exp import (
     RunSpec,
     SerialExecutor,
     ParallelExecutor,
+    execute_spec,
     run_plan,
 )
 from repro.sim.config import MachineConfig
@@ -48,6 +49,28 @@ class TestSerialVsParallel:
         parallel = run_plan(small_plan(), jobs=2)
         assert [r.fingerprint() for r in parallel.results] == [
             r.fingerprint() for r in serial_outcome.results
+        ]
+
+    def test_explicit_pool_executor_matches_serial(self):
+        plan = ExperimentPlan.grid(
+            ["queue", "heap"], ["baseline", "asap_rp"], ops_per_thread=20
+        )
+        serial = run_plan(plan)
+        pooled = run_plan(plan, executor=ParallelExecutor(jobs=2))
+        assert [r.fingerprint() for r in pooled.results] == [
+            r.fingerprint() for r in serial.results
+        ]
+
+    def test_pool_map_over_seeds_matches_serial(self):
+        specs = [
+            RunSpec("queue", "asap_rp", num_threads=1, ops_per_thread=20,
+                    seed=seed)
+            for seed in range(1, 5)
+        ]
+        serial = [execute_spec(spec) for spec in specs]
+        pooled = ParallelExecutor(jobs=2).map(execute_spec, specs)
+        assert [r.fingerprint() for r in pooled] == [
+            r.fingerprint() for r in serial
         ]
 
     def test_rerun_is_deterministic(self, serial_outcome):
@@ -94,6 +117,26 @@ class TestCacheHitVsMiss:
         cache = ResultCache(tmp_path)
         cold = run_plan(small_plan(), jobs=2, cache=cache)
         warm = run_plan(small_plan(), cache=cache)
+        assert warm.cache_hits == len(small_plan())
+        assert [r.fingerprint() for r in warm.results] == [
+            r.fingerprint() for r in cold.results
+        ]
+
+    def test_cache_hits_never_reach_the_executor(self, tmp_path):
+        class Recording(SerialExecutor):
+            def __init__(self):
+                self.mapped = []
+
+            def map(self, fn, items):
+                self.mapped.extend(items)
+                return super().map(fn, items)
+
+        cache = ResultCache(tmp_path)
+        first, second = Recording(), Recording()
+        cold = run_plan(small_plan(), cache=cache, executor=first)
+        warm = run_plan(small_plan(), cache=cache, executor=second)
+        assert len(first.mapped) == len(small_plan())
+        assert second.mapped == []
         assert warm.cache_hits == len(small_plan())
         assert [r.fingerprint() for r in warm.results] == [
             r.fingerprint() for r in cold.results

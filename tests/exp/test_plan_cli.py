@@ -1,5 +1,8 @@
 """Plan construction, executors, and the CLI's --jobs/--cache-dir path."""
 
+import concurrent.futures
+import os
+
 import pytest
 
 from repro.cli import main
@@ -62,6 +65,22 @@ class TestExecutors:
     def test_empty_map(self):
         assert ParallelExecutor(jobs=2).map(abs, []) == []
 
+    def test_empty_map_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an empty map must not start a pool")
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", no_pool
+        )
+        assert ParallelExecutor(jobs=2).map(abs, []) == []
+
+    def test_parallel_worker_count(self):
+        with pytest.raises(ValueError):
+            ParallelExecutor(jobs=-1)
+        assert ParallelExecutor(jobs=2).jobs == 2
+        # zero (like None) means one worker per CPU, never zero workers
+        assert ParallelExecutor(jobs=0).jobs == (os.cpu_count() or 1)
+
 
 class TestCLI:
     def test_compare_with_jobs(self, capsys):
@@ -96,6 +115,25 @@ class TestCLI:
         assert main(args) == 0
         assert capsys.readouterr().out == first
         assert len(list(cache_dir.glob("*.pkl"))) == 1
+
+    def test_parallel_run_fills_cache_serial_run_reads_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        args = [
+            "compare", "--workloads", "fence_latency",
+            "--models", "baseline", "asap_rp", "--ops", "10",
+            "--threads", "2", "--cache-dir", str(tmp_path),
+        ]
+        assert main(args + ["--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert len(list(tmp_path.glob("*.pkl"))) == 2
+
+        def not_cached(spec):
+            raise AssertionError(f"{spec.label()} missed the cache")
+
+        monkeypatch.setattr(RunSpec, "execute", not_cached)
+        assert main(args) == 0  # serial, every cell a hit
+        assert capsys.readouterr().out == parallel
 
     def test_compare_cached_matches_fresh(self, tmp_path, capsys):
         args = [

@@ -6,6 +6,7 @@ import pytest
 
 from repro.exp import (
     ExperimentPlan,
+    ParallelExecutor,
     ResultCache,
     SharedPlan,
     run_plan,
@@ -49,6 +50,18 @@ class CountingExecutor:
         return [fn(item) for item in items]
 
 
+class CountingPool(ParallelExecutor):
+    """Process-pool executor that records the key of every cell it runs."""
+
+    def __init__(self) -> None:
+        super().__init__(jobs=2)
+        self.keys: List[str] = []
+
+    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+        self.keys.extend(item.key() for item in items)
+        return super().map(fn, items)
+
+
 def store(**kwargs) -> SharedPlan:
     kwargs.setdefault("executor", CountingExecutor())
     return SharedPlan(declare, **kwargs)
@@ -65,6 +78,17 @@ def test_overlapping_grids_execute_each_distinct_key_once():
     keys = shared.executor.keys
     assert len(keys) == len(set(keys)) == DISTINCT
     assert set(keys) == {spec.key() for spec in shared.plan()}
+
+
+def test_overlapping_grids_over_the_pool_execute_each_distinct_key_once():
+    pooled = store(executor=CountingPool())
+    serial = store()
+    for name in ALL:
+        assert [r.fingerprint() for r in pooled.run(name).results] == [
+            r.fingerprint() for r in serial.run(name).results
+        ]
+    keys = pooled.executor.keys
+    assert len(keys) == len(set(keys)) == DISTINCT
 
 
 def test_a_grid_run_alone_executes_only_its_own_cells():

@@ -13,8 +13,7 @@ from __future__ import annotations
 from repro.ckpt.api import CheckpointCell, create_checkpoint, run_fingerprint
 from repro.crashtest.campaign import CrashPointSpec
 from repro.crashtest.points import derive_rng
-from repro.exp.spec import RunSpec
-from repro.fabric.tasks import fingerprint_sha
+from repro.exp.spec import RunSpec, fingerprint_sha
 from repro.litmus import build_corpus
 from repro.litmus.spec import LitmusSpec
 

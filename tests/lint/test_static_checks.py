@@ -26,9 +26,9 @@ def test_ruff_clean_on_typed_packages():
         [sys.executable, "-m", "ruff", "check", "src/repro/lint",
          "src/repro/workloads", "src/repro/sim", "src/repro/bench",
          "src/repro/axiom", "src/repro/litmus", "src/repro/report",
-         "src/repro/exp", "src/repro/fabric",
+         "src/repro/exp",
          "tests/lint", "tests/bench", "tests/axiom", "tests/litmus",
-         "tests/report", "tests/exp", "tests/fabric"],
+         "tests/report", "tests/exp"],
         cwd=REPO,
         capture_output=True,
         text=True,
@@ -40,7 +40,7 @@ def test_ruff_clean_on_typed_packages():
 @pytest.mark.parametrize(
     "package", ["src/repro/lint", "src/repro/sim", "src/repro/bench",
                 "src/repro/axiom", "src/repro/litmus", "src/repro/report",
-                "src/repro/exp", "src/repro/fabric"]
+                "src/repro/exp"]
 )
 def test_mypy_strict_on_typed_packages(package):
     proc = subprocess.run(

@@ -56,3 +56,12 @@ class TestExecution:
         assert hit is not None
         assert hit.states == result.states
         assert hit.first_cycle == result.first_cycle
+
+
+def test_run_litmus_jobs_is_byte_identical():
+    from repro.litmus import LitmusRunOptions, run_litmus, smoke_corpus
+
+    tests = smoke_corpus()[:2]
+    serial = run_litmus(tests, LitmusRunOptions(points=4))
+    parallel = run_litmus(tests, LitmusRunOptions(points=4, jobs=2))
+    assert serial.to_json() == parallel.to_json()
