@@ -51,7 +51,7 @@ from repro.core.api import (
     Release,
     Store,
 )
-from repro.core.crash import CrashState, crash_machine, run_and_crash
+from repro.core.crash import CrashState, crash_machine, crash_sweep, run_and_crash
 from repro.core.machine import Machine, RunResult
 from repro.core.models import MODEL_REGISTRY, ModelSpec, resolve_model
 from repro.exp import ExperimentPlan, ResultCache, RunSpec, run_grid, run_plan
@@ -92,6 +92,7 @@ __all__ = [
     "__version__",
     "check_consistency",
     "crash_machine",
+    "crash_sweep",
     "resolve_model",
     "run_and_crash",
     "run_grid",

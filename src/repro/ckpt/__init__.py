@@ -9,8 +9,8 @@ machine in-process.
 
 Checkpoints serve two consumers:
 
-- the crash-sweep campaign uses them as fast-forward replay anchors
-  (skip the shared prefix of a cell's crash points);
+- ``repro crashtest --replay --from-checkpoint`` uses one as the anchor
+  to re-simulate a saved failure from;
 - the sampling pipeline (:mod:`repro.sample`) uses the same barrier
   machinery to measure statistics over representative intervals.
 """

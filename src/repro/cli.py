@@ -725,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "and re-adjudicate the resimulated state")
     common(p_ct)
     _jobs_flag(p_ct)
-    # each crash point re-simulates its prefix: short cells by default.
+    # a cell's horizon grows with its ops: short cells by default.
     p_ct.set_defaults(func=cmd_crashtest, ops=24)
 
     p_lit = sub.add_parser(

@@ -11,12 +11,18 @@ This is the reproduction's machine-checked version of the paper's
 Theorem 2 ("when the system recovers from a crash, memory is in a
 consistent state"): instead of a paper proof, the property tests crash
 every model at randomized instants and assert the invariant.
+
+Crashing only reads the machine (each controller drains a *copy* of its
+media), and a run stopped at cycle ``c`` leaves every later event
+queued, so resuming it to ``c' > c`` executes exactly the events a fresh
+run to ``c'`` would.  :func:`crash_sweep` uses that to crash one run at
+many cycles: the shared prefix is simulated once, not once per cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Iterator, Sequence
 
 from repro.sim.config import HardwareModel, MachineConfig, RunConfig
 from repro.core.api import Program
@@ -65,6 +71,45 @@ def crash_machine(machine: Machine) -> CrashState:
     )
 
 
+def crash_sweep(
+    config: MachineConfig,
+    run_config: RunConfig,
+    programs: Iterable[Program],
+    cycles: Sequence[int],
+) -> Iterator[CrashState]:
+    """Run one machine and lose power at each of ``cycles`` in turn.
+
+    Yields one :class:`CrashState` per cycle, each equal to what
+    :func:`run_and_crash` returns for that cycle on a fresh machine.
+    ``cycles`` must be strictly ascending (:class:`ValueError`
+    otherwise, raised before anything is simulated).  A cycle past the
+    end of the run yields the final memory image.
+
+    Each state's ``media`` is its own, but its ``log`` *is* the live
+    machine's :class:`EpochLog`, which keeps growing once the sweep
+    advances.  Adjudicate (or copy) a state before asking for the next.
+    """
+    cycles = list(cycles)
+    for earlier, later in zip(cycles, cycles[1:]):
+        if later <= earlier:
+            raise ValueError(
+                f"crash cycles must be strictly ascending: {earlier} "
+                f"then {later}"
+            )
+    return _sweep(Machine(config, run_config), programs, cycles)
+
+
+def _sweep(
+    machine: Machine, programs: Iterable[Program], cycles: Sequence[int]
+) -> Iterator[CrashState]:
+    for index, cycle in enumerate(cycles):
+        if index == 0:
+            machine.run_until(programs, cycle)
+        else:
+            machine.continue_until(cycle)
+        yield crash_machine(machine)
+
+
 def run_and_crash(
     config: MachineConfig,
     run_config: RunConfig,
@@ -76,9 +121,7 @@ def run_and_crash(
     If the workload finishes (and the system drains) before the crash
     cycle, the returned state is simply the final memory image.
     """
-    machine = Machine(config, run_config)
-    machine.run_until(programs, crash_cycle)
-    return crash_machine(machine)
+    return next(crash_sweep(config, run_config, programs, [crash_cycle]))
 
 
-__all__ = ["CrashState", "crash_machine", "run_and_crash"]
+__all__ = ["CrashState", "crash_machine", "crash_sweep", "run_and_crash"]

@@ -2,12 +2,13 @@
 
 For any registry workload and any hardware model, this package
 enumerates crash points (every epoch-commit boundary plus
-stratified-random mid-epoch cycles, deterministically seeded), crashes a
-fresh simulation at each (:func:`repro.core.crash.run_and_crash`),
-adjudicates the surviving media image against the generic Theorem-2
-checker *and* the workload's semantic ``recovery_oracle()``, and -- on a
-violation -- minimizes the failure to the smallest crash cycle and media
-delta, serialized to JSON for replay.
+stratified-random mid-epoch cycles, deterministically seeded), crashes
+one simulation per (workload, model) cell at each of them in ascending
+order (:func:`repro.core.crash.crash_sweep`: the shared prefix is
+simulated once), adjudicates every surviving media image against the
+generic Theorem-2 checker *and* the workload's semantic
+``recovery_oracle()``, and -- on a violation -- minimizes the failure to
+the smallest crash cycle and media delta, serialized to JSON for replay.
 
 Layout:
 
@@ -23,6 +24,7 @@ from repro.crashtest.campaign import (
     CRASHTEST_SCHEMA_VERSION,
     CampaignReport,
     CellReport,
+    CrashCellSpec,
     CrashPointResult,
     CrashPointSpec,
     adjudicate,
@@ -57,6 +59,7 @@ __all__ = [
     "CampaignReport",
     "CellReport",
     "CommitCollector",
+    "CrashCellSpec",
     "CrashPointResult",
     "CrashPointSpec",
     "MinimizedFailure",

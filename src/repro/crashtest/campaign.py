@@ -1,21 +1,25 @@
 """The crash-sweep campaign engine.
 
 One **campaign** = (workloads x models) cells; one **cell** = a
-deterministic set of crash points (see :mod:`repro.crashtest.points`),
-each re-simulated from scratch, crashed with
-:func:`repro.core.crash.crash_machine`, and adjudicated against:
+deterministic set of crash points (see :mod:`repro.crashtest.points`).
+A cell runs on one machine (:func:`repro.core.crash.crash_sweep`): it
+is simulated to the first crash cycle, crashed, adjudicated, then
+resumed to the next cycle, so the prefix the points share is simulated
+once.  Every crash image is adjudicated against:
 
 - the generic Theorem-2 checker
   (:func:`repro.verify.consistency.check_consistency`), and
 - the workload's semantic ``recovery_oracle()``
   (:meth:`repro.workloads.base.Workload.recovery_oracle`).
 
-Crash points go through the same cached fan-out as experiment cells
-(:func:`repro.exp.plan.run_specs`): a :class:`CrashPointSpec` is a
-content-addressed :class:`~repro.exp.cache.Spec`, its
-:class:`CrashPointResult` is a small picklable record.  On a violation
-the campaign minimizes the failure (:mod:`repro.crashtest.minimize`)
-and serializes a replayable :class:`~repro.core.crash.CrashState`.
+Cells go through the same cached fan-out as experiment cells
+(:func:`repro.exp.plan.run_specs`): a :class:`CrashCellSpec` is a
+content-addressed :class:`~repro.exp.cache.Spec` whose result is one
+small picklable :class:`CrashPointResult` per crash cycle.  A single
+point is a :class:`CrashPointSpec` (minimization and replay use it).
+On a violation the campaign minimizes the failure
+(:mod:`repro.crashtest.minimize`) and serializes a replayable
+:class:`~repro.core.crash.CrashState`.
 
 Reports are **canonical**: same spec + same seed = byte-identical
 ``to_dict()`` JSON, whether results came fresh, from the cache, or from
@@ -28,10 +32,10 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.api import PMAllocator
-from repro.core.crash import CrashState, run_and_crash
+from repro.core.api import PMAllocator, Program
+from repro.core.crash import CrashState, crash_sweep, run_and_crash
 from repro.core.models import RP_MODELS, ModelSpec, resolve_model
 from repro.exp.cache import content_key, jsonable
 from repro.exp.executors import make_executor
@@ -49,8 +53,9 @@ from repro.crashtest.points import (
 )
 from repro.crashtest.serialize import dumps_state
 
-#: participates in every CrashPointSpec key; bump when adjudication or
-#: crash semantics change in a way that invalidates cached verdicts.
+#: participates in every CrashPointSpec and CrashCellSpec key; bump when
+#: adjudication or crash semantics change in a way that invalidates
+#: cached verdicts.
 CRASHTEST_SCHEMA_VERSION = 1
 
 
@@ -71,11 +76,65 @@ def adjudicate(state: CrashState, workload: Workload) -> Tuple[List[str], List[s
 
 
 # ---------------------------------------------------------------------------
-# one crash point
+# crash points and crash cells
 # ---------------------------------------------------------------------------
 
+class _CrashRun:
+    """The simulated run a crash point or a crash cell crashes."""
+
+    workload: str
+    model: ModelSpec
+    machine: MachineConfig
+    ops_per_thread: Optional[int]
+    num_threads: Optional[int]
+    seed: int
+
+    def _set_run(
+        self,
+        workload: str,
+        model: Union[str, ModelSpec],
+        machine: Optional[MachineConfig],
+        ops_per_thread: Optional[int],
+        num_threads: Optional[int],
+        seed: int,
+    ) -> None:
+        get_workload(workload)  # raises KeyError with available names
+        object.__setattr__(self, "workload", workload)
+        object.__setattr__(self, "model", resolve_model(model))
+        object.__setattr__(self, "machine", machine or MachineConfig())
+        object.__setattr__(self, "ops_per_thread", ops_per_thread)
+        object.__setattr__(self, "num_threads", num_threads)
+        object.__setattr__(self, "seed", seed)
+
+    def build_workload(self) -> Workload:
+        return get_workload(
+            self.workload, ops_per_thread=self.ops_per_thread, seed=self.seed
+        )
+
+    def run_config(self) -> RunConfig:
+        return self.model.run_config(seed=self.seed)
+
+    def programs(self) -> List[Program]:
+        threads = self.num_threads or self.machine.num_cores
+        return self.build_workload().programs(PMAllocator(), threads)
+
+    def _identity(self, kind: str) -> dict:
+        return {
+            "schema": CRASHTEST_SCHEMA_VERSION,
+            "kind": kind,
+            "workload": self.workload,
+            "hardware": self.model.hardware.value,
+            "persistency": self.model.persistency.value,
+            "machine": jsonable(self.machine),
+            "run_config": jsonable(self.run_config()),
+            "ops_per_thread": self.ops_per_thread,
+            "num_threads": self.num_threads,
+            "seed": self.seed,
+        }
+
+
 @dataclass(frozen=True)
-class CrashPointSpec:
+class CrashPointSpec(_CrashRun):
     """One fully-specified fault injection: a cell plus a crash cycle."""
 
     workload: str
@@ -96,34 +155,18 @@ class CrashPointSpec:
         num_threads: Optional[int] = None,
         seed: int = 7,
     ) -> None:
-        get_workload(workload)  # raises KeyError with available names
-        object.__setattr__(self, "workload", workload)
-        object.__setattr__(self, "model", resolve_model(model))
+        self._set_run(workload, model, machine, ops_per_thread,
+                      num_threads, seed)
         object.__setattr__(self, "crash_cycle", int(crash_cycle))
-        object.__setattr__(self, "machine", machine or MachineConfig())
-        object.__setattr__(self, "ops_per_thread", ops_per_thread)
-        object.__setattr__(self, "num_threads", num_threads)
-        object.__setattr__(self, "seed", seed)
 
     # -- construction -------------------------------------------------------
 
-    def build_workload(self) -> Workload:
-        return get_workload(
-            self.workload, ops_per_thread=self.ops_per_thread, seed=self.seed
-        )
-
-    def run_config(self) -> RunConfig:
-        return self.model.run_config(seed=self.seed)
-
     def simulate(self, crash_cycle: Optional[int] = None) -> CrashState:
         """Fresh run of this cell, crashed at ``crash_cycle``."""
-        workload = self.build_workload()
-        threads = self.num_threads or self.machine.num_cores
-        programs = workload.programs(PMAllocator(), threads)
         return run_and_crash(
             self.machine,
             self.run_config(),
-            programs,
+            self.programs(),
             self.crash_cycle if crash_cycle is None else crash_cycle,
         )
 
@@ -135,14 +178,13 @@ class CrashPointSpec:
     ) -> CrashState:
         """Resume a checkpoint of this cell and crash past it.
 
-        The fast-forward anchor for dense crash sweeps: checkpoint once
-        at a quiescent barrier, then re-simulate only ``[barrier,
-        crash_cycle]`` per point instead of the whole prefix.  The
-        anchored trajectory is event-for-event identical to a cold run
-        that passed through the *same* barrier (the equivalence the
-        ``tests/ckpt`` suite pins); note the barrier itself drains the
-        machine, so it is a different -- equally valid -- trajectory
-        from a barrier-free cold run.
+        The anchor behind ``repro crashtest --replay --from-checkpoint``:
+        resume a checkpoint taken at a quiescent barrier and re-simulate
+        only ``[barrier, crash_cycle]``.  The anchored trajectory is
+        event-for-event identical to a cold run that passed through the
+        *same* barrier (the equivalence the ``tests/ckpt`` suite pins);
+        note the barrier itself drains the machine, so it is a different
+        -- equally valid -- trajectory from a barrier-free cold run.
         """
         from repro.ckpt.api import CheckpointCell, resume_machine
         from repro.core.crash import crash_machine
@@ -169,19 +211,8 @@ class CrashPointSpec:
     # -- identity (cache contract, mirrors exp.RunSpec) ---------------------
 
     def describe(self) -> dict:
-        return {
-            "schema": CRASHTEST_SCHEMA_VERSION,
-            "kind": "crashtest-point",
-            "workload": self.workload,
-            "hardware": self.model.hardware.value,
-            "persistency": self.model.persistency.value,
-            "machine": jsonable(self.machine),
-            "run_config": jsonable(self.run_config()),
-            "crash_cycle": self.crash_cycle,
-            "ops_per_thread": self.ops_per_thread,
-            "num_threads": self.num_threads,
-            "seed": self.seed,
-        }
+        return dict(self._identity("crashtest-point"),
+                    crash_cycle=self.crash_cycle)
 
     def key(self) -> str:
         return content_key(self.describe())
@@ -195,15 +226,84 @@ class CrashPointSpec:
     # -- execution ----------------------------------------------------------
 
     def execute(self) -> "CrashPointResult":
-        state = self.simulate()
-        generic, oracle = adjudicate(state, self.build_workload())
-        return CrashPointResult(
-            crash_cycle=self.crash_cycle,
-            generic_violations=tuple(generic),
-            oracle_violations=tuple(oracle),
-            surviving_lines=len(state.media),
-            writes_logged=len(state.log.writes),
+        (result,) = CrashCellSpec(
+            self.workload, self.model, (self.crash_cycle,), self.machine,
+            self.ops_per_thread, self.num_threads, self.seed,
+        ).execute()
+        return result
+
+
+@dataclass(frozen=True)
+class CrashCellSpec(_CrashRun):
+    """Every crash point of one (workload, model) cell, swept on one
+    machine: the campaign's cached, parallel unit."""
+
+    workload: str
+    model: ModelSpec
+    #: the cell's crash cycles, ascending.
+    crash_cycles: Tuple[int, ...]
+    machine: MachineConfig = dataclasses.field(default_factory=MachineConfig)
+    ops_per_thread: Optional[int] = None
+    num_threads: Optional[int] = None
+    seed: int = 7
+
+    def __init__(
+        self,
+        workload: str,
+        model: Union[str, ModelSpec],
+        crash_cycles: Sequence[int],
+        machine: Optional[MachineConfig] = None,
+        ops_per_thread: Optional[int] = None,
+        num_threads: Optional[int] = None,
+        seed: int = 7,
+    ) -> None:
+        self._set_run(workload, model, machine, ops_per_thread,
+                      num_threads, seed)
+        object.__setattr__(
+            self, "crash_cycles", tuple(sorted(int(c) for c in crash_cycles))
         )
+
+    def point(self, crash_cycle: int) -> CrashPointSpec:
+        """The single-point spec of this cell at ``crash_cycle``."""
+        return CrashPointSpec(
+            self.workload, self.model, crash_cycle, self.machine,
+            self.ops_per_thread, self.num_threads, self.seed,
+        )
+
+    # -- identity (cache contract) -------------------------------------------
+
+    def describe(self) -> dict:
+        return dict(self._identity("crashtest-cell"),
+                    crash_cycles=list(self.crash_cycles))
+
+    def key(self) -> str:
+        return content_key(self.describe())
+
+    def label(self) -> str:
+        return (
+            f"crash:{self.workload}/{self.model.name}"
+            f"/{len(self.crash_cycles)}pts/seed{self.seed}"
+        )
+
+    # -- execution ----------------------------------------------------------
+
+    def execute(self) -> Tuple["CrashPointResult", ...]:
+        """One verdict per crash cycle, in cycle order."""
+        workload = self.build_workload()
+        states = crash_sweep(self.machine, self.run_config(),
+                             self.programs(), self.crash_cycles)
+        results = []
+        for cycle, state in zip(self.crash_cycles, states):
+            # adjudicate now: the state's log is the live machine's
+            generic, oracle = adjudicate(state, workload)
+            results.append(CrashPointResult(
+                crash_cycle=cycle,
+                generic_violations=tuple(generic),
+                oracle_violations=tuple(oracle),
+                surviving_lines=len(state.media),
+                writes_logged=len(state.log.writes),
+            ))
+        return tuple(results)
 
 
 @dataclass(frozen=True)
@@ -351,8 +451,8 @@ def run_campaign(
     ``save_dir`` is where minimized failing states are serialized.
     """
     machine = machine or MachineConfig()
-    specs_by_cell: Dict[Tuple[str, str], List[CrashPointSpec]] = {}
-    references: Dict[Tuple[str, str], ReferenceRun] = {}
+    cells: List[CrashCellSpec] = []
+    references: List[ReferenceRun] = []
     resolved = [resolve_model(m) for m in (models or RP_MODELS)]
 
     # phase 1: reference runs + deterministic crash-point enumeration
@@ -376,43 +476,44 @@ def run_campaign(
                 "seed": seed,
                 "points": points,
             }
-            cycles = enumerate_crash_points(reference, points, identity)
-            key = (name, model.name)
-            references[key] = reference
-            specs_by_cell[key] = [
-                CrashPointSpec(
-                    workload=name, model=model, crash_cycle=cycle,
-                    machine=machine, ops_per_thread=ops_per_thread,
-                    num_threads=num_threads, seed=seed,
-                )
-                for cycle in cycles
-            ]
+            references.append(reference)
+            cells.append(CrashCellSpec(
+                workload=name, model=model,
+                crash_cycles=enumerate_crash_points(
+                    reference, points, identity),
+                machine=machine, ops_per_thread=ops_per_thread,
+                num_threads=num_threads, seed=seed,
+            ))
 
-    # phase 2: one cached fan-out over every crash point
-    all_specs = [s for specs in specs_by_cell.values() for s in specs]
-    results, hits = run_specs(all_specs, cache, make_executor(jobs))
+    # phase 2: one cached fan-out over every cell; the bookkeeping
+    # counts points, not cells
+    hit_points = sum(
+        len(cell.crash_cycles) for cell in cells
+        if cache is not None and cell in cache
+    )
+    results, _ = run_specs(cells, cache, make_executor(jobs))
 
     # phase 3: assemble cells, emit events, minimize failures
+    total = sum(len(cell.crash_cycles) for cell in cells)
     report = CampaignReport(
         cells=[],
         points_requested=points,
         seed=seed,
-        cache_hits=hits,
-        cache_misses=len(all_specs) - hits,
+        cache_hits=hit_points,
+        cache_misses=total - hit_points,
     )
-    remaining = iter(results)
-    for (name, model_name), specs in specs_by_cell.items():
-        cell_results = [next(remaining) for _ in specs]
-        _emit_events(sinks, name, model_name, cell_results)
+    for spec, reference, verdicts in zip(cells, references, results):
+        cell_results = list(verdicts)
+        _emit_events(sinks, spec.workload, spec.model.name, cell_results)
         cell = CellReport(
-            workload=name,
-            model=model_name,
-            reference=references[(name, model_name)],
+            workload=spec.workload,
+            model=spec.model.name,
+            reference=reference,
             results=cell_results,
         )
         if not cell.ok and minimize:
             cell.failure = _minimize_cell(
-                specs, cell_results, save_dir, report
+                spec, cell_results, save_dir, report
             )
         report.cells.append(cell)
     return report
@@ -441,7 +542,7 @@ def _emit_events(
 
 
 def _minimize_cell(
-    specs: List[CrashPointSpec],
+    cell: CrashCellSpec,
     cell_results: List[CrashPointResult],
     save_dir: Optional[str],
     report: CampaignReport,
@@ -450,7 +551,7 @@ def _minimize_cell(
     failing_index = next(
         i for i, r in enumerate(cell_results) if not r.ok
     )
-    spec = specs[failing_index]
+    spec = cell.point(cell_results[failing_index].crash_cycle)
     workload = spec.build_workload()
 
     def judge(state: CrashState) -> List[str]:
@@ -460,7 +561,7 @@ def _minimize_cell(
     passing_cycle = 0
     for i in range(failing_index - 1, -1, -1):
         if cell_results[i].ok:
-            passing_cycle = specs[i].crash_cycle
+            passing_cycle = cell_results[i].crash_cycle
             break
     minimized = minimize_failure(
         spec.simulate, judge, spec.crash_cycle, passing_cycle
@@ -576,6 +677,7 @@ __all__ = [
     "CRASHTEST_SCHEMA_VERSION",
     "CampaignReport",
     "CellReport",
+    "CrashCellSpec",
     "CrashPointResult",
     "CrashPointSpec",
     "adjudicate",

@@ -1,8 +1,9 @@
 """Content identity and the deterministic on-disk result cache.
 
 Every cell kind -- a figure run (:class:`~repro.exp.spec.RunSpec`), a
-crash point (:class:`~repro.crashtest.campaign.CrashPointSpec`), a
-litmus cell (:class:`~repro.litmus.spec.LitmusSpec`) -- satisfies the
+crash point or crash cell (:class:`~repro.crashtest.campaign.CrashPointSpec`,
+:class:`~repro.crashtest.campaign.CrashCellSpec`), a litmus cell
+(:class:`~repro.litmus.spec.LitmusSpec`) -- satisfies the
 :class:`Spec` protocol, and every one derives its key the same way:
 :func:`content_key`, the SHA-256 of :func:`canonical_json` of its
 ``describe()`` document.

@@ -14,8 +14,8 @@ Executing a cell:
 2. enumerate crash cycles (commit boundaries + stratified random,
    seeded from the spec's content hash), plus cycle 1 and one
    past-drain cycle for the pristine and fully-drained images;
-3. crash a fresh simulation at each cycle
-   (:func:`repro.core.crash.run_and_crash`) and canonicalize the
+3. crash one simulation at each cycle in ascending order
+   (:func:`repro.core.crash.crash_sweep`) and canonicalize each
    surviving media image into a symbolic state via the stores' payload
    labels.
 
@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.axiom.program import INIT, LINE, LitmusTest, NVMState, format_state
 from repro.core.api import Op
-from repro.core.crash import run_and_crash
+from repro.core.crash import crash_sweep
 from repro.core.models import ModelSpec, resolve_model
 from repro.crashtest.points import enumerate_crash_points, trace_reference
 from repro.exp.cache import content_key, jsonable
@@ -135,11 +135,12 @@ class LitmusSpec:
             (addr // LINE) * LINE: symbol for symbol, addr in self.locations
         }
         first_cycle: Dict[str, int] = {}
-        for cycle in sorted(cycles):
-            crash = run_and_crash(
-                self.machine, run_config, [iter(ops) for ops in self.programs()],
-                cycle,
-            )
+        ordered = sorted(cycles)
+        crashes = crash_sweep(
+            self.machine, run_config, [iter(ops) for ops in self.programs()],
+            ordered,
+        )
+        for cycle, crash in zip(ordered, crashes):
             values: Dict[str, str] = {}
             for line, symbol in line_symbols.items():
                 payload = crash.surviving_payload(line, INIT)

@@ -2,8 +2,9 @@
 
 This is the acceptance sweep -- 50 crash points per (workload, model)
 cell over the whole Table III suite and the four release-persistency
-acceptance designs -- minutes of fault injection, so it runs behind
-``-m crash`` in its own non-blocking CI job.  The PR-gating smoke
+acceptance designs -- behind ``-m crash`` in its own non-blocking CI
+job.  The blocking CI job runs the same sweep through ``repro crashtest
+--all``: one machine per cell keeps it to seconds.  The PR-gating smoke
 version (two workloads, a handful of points) lives in
 ``test_campaign.py`` and ``tests/cli/``.
 """

@@ -11,7 +11,7 @@ schema version and re-pin here, deliberately.
 from __future__ import annotations
 
 from repro.ckpt.api import CheckpointCell, create_checkpoint, run_fingerprint
-from repro.crashtest.campaign import CrashPointSpec
+from repro.crashtest.campaign import CrashCellSpec, CrashPointSpec
 from repro.crashtest.points import derive_rng
 from repro.exp.spec import RunSpec, fingerprint_sha
 from repro.litmus import build_corpus
@@ -35,6 +35,14 @@ def test_crash_point_spec_key():
                           ops_per_thread=8)
     assert spec.key() == (
         "285ffa0fde3ef85e6bcedee00afa8498fbb20894567b1a18eff3c187b2ef6161"
+    )
+
+
+def test_crash_cell_spec_key():
+    spec = CrashCellSpec("queue", "asap_rp", crash_cycles=(100, 500),
+                         ops_per_thread=8)
+    assert spec.key() == (
+        "60670aded65a888516270e14e9625319e3dae3a6d970e96bfe545cf49e4151a7"
     )
 
 
