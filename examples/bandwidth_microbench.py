@@ -11,24 +11,23 @@ Run:  python examples/bandwidth_microbench.py
 """
 
 from repro.analysis.report import render_table
-from repro.analysis.sweeps import ModelSpec, sweep
-from repro.sim.config import HardwareModel, MachineConfig, PersistencyModel
+from repro.core.models import RP_MODELS
+from repro.exp import run_grid
+from repro.sim.config import MachineConfig
 from repro.workloads.microbench import BandwidthMicrobench
 
 OPS = 300
 CPU_GHZ = 2.0
 
-MODELS = [
-    ModelSpec("baseline", HardwareModel.BASELINE, PersistencyModel.RELEASE),
-    ModelSpec("hops", HardwareModel.HOPS, PersistencyModel.RELEASE),
-    ModelSpec("asap", HardwareModel.ASAP, PersistencyModel.RELEASE),
-]
+#: baseline, hops, asap (release persistency; eADR has no flushes)
+MODELS = RP_MODELS[:3]
 
 
 def main() -> None:
     for threads in (1, 2, 4):
         config = MachineConfig(num_cores=threads)
-        result = sweep([BandwidthMicrobench], MODELS, config, ops_per_thread=OPS)
+        result = run_grid([BandwidthMicrobench], MODELS, config,
+                          ops_per_thread=OPS)
         total_bytes = BandwidthMicrobench(ops_per_thread=OPS).bytes_written(threads)
         rows = []
         for model in ("baseline", "hops", "asap"):

@@ -15,25 +15,19 @@ Run:  python examples/concurrent_hashtable.py
 """
 
 from repro.analysis.report import render_table
-from repro.analysis.sweeps import ModelSpec, sweep
-from repro.sim.config import HardwareModel, MachineConfig, PersistencyModel
+from repro.core.models import RP_MODELS
+from repro.exp import run_grid
+from repro.sim.config import MachineConfig
 from repro.workloads.cceh import CCEH
 
 OPS = 120
-
-MODELS = [
-    ModelSpec("baseline", HardwareModel.BASELINE, PersistencyModel.RELEASE),
-    ModelSpec("hops", HardwareModel.HOPS, PersistencyModel.RELEASE),
-    ModelSpec("asap", HardwareModel.ASAP, PersistencyModel.RELEASE),
-    ModelSpec("eadr", HardwareModel.EADR, PersistencyModel.RELEASE),
-]
 
 
 def main() -> None:
     rows = []
     for threads in (1, 2, 4, 8):
         config = MachineConfig(num_cores=threads)
-        result = sweep([CCEH], MODELS, config, ops_per_thread=OPS)
+        result = run_grid([CCEH], RP_MODELS, config, ops_per_thread=OPS)
         deps = result.stat("cceh", "asap", "interTEpochConflict")
         throughput = {
             model: threads * OPS / result.runtime("cceh", model)

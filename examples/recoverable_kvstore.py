@@ -1,118 +1,58 @@
 #!/usr/bin/env python3
 """A recoverable key-value store, end to end.
 
-Two threads hammer a persistent chained-hash KV store
-(:mod:`repro.pmds.pkvstore`).  Its crash safety comes entirely from one
-ofence per put -- the out-of-place entry is *ordered* before the bucket
-head that names it -- so on ordering-preserving hardware a recovered
-pointer can never dangle.
+Four threads put into a persistent chained-hash KV store, the ``pkv``
+crash fixture (:mod:`repro.workloads.recoverable`).  Its crash safety
+comes entirely from one ofence per put: the out-of-place entry is
+*ordered* before the bucket head that names it, so on
+ordering-preserving hardware a recovered pointer can never dangle.
 
-We cut power at a series of instants, run the store's actual recovery
-procedure against each crash image, and check what it found.  Then we do
-the same on the ``asap_no_undo`` ablation with a wide flush window and a
-jammed controller, and watch the recovery procedure flag dangling
-pointers.
+Act one crashes the store on ASAP at a series of instants and runs its
+recovery procedure on each crash image, then sweeps 50 crash points with
+the campaign engine, which judges every point with the same procedure.
+Act two runs the same sweep on the ``asap_no_undo`` ablation with a wide
+flush window; the store jams one memory controller, and the recovery
+procedure flags dangling pointers.
 
 Run:  python examples/recoverable_kvstore.py
 """
 
-import random
-
-from repro import (
-    Compute,
-    DFence,
-    HardwareModel,
-    MachineConfig,
-    PMAllocator,
-    RunConfig,
-    run_and_crash,
-)
-from repro.pmds import PersistentKVStore
-
-
-def kv_programs(store, puts_per_thread=15, seed=11):
-    programs = []
-    for thread in range(2):
-        rng = random.Random(seed * 31 + thread)
-
-        def program(thread=thread, rng=rng):
-            for i in range(puts_per_thread):
-                yield from store.put(
-                    f"user:{rng.randrange(8)}", f"session-{thread}.{i}"
-                )
-                yield Compute(rng.randrange(40, 150))
-            yield DFence()
-
-        return_program = program()
-        programs.append(return_program)
-    return programs
+from repro.crashtest import CrashPointSpec, run_campaign
+from repro.sim.config import MachineConfig
+from repro.workloads.registry import get_workload
 
 
 def main() -> None:
+    store = get_workload("pkv")
     print("--- ASAP: crash anywhere, recover cleanly ---")
-    for crash_cycle in (400, 1200, 3000, 8000, 10**8):
-        heap = PMAllocator()
-        store = PersistentKVStore(heap, buckets=4, pool_slots=64)
-        state = run_and_crash(
-            MachineConfig(num_cores=2),
-            RunConfig(hardware=HardwareModel.ASAP),
-            kv_programs(store),
-            crash_cycle,
-        )
+    for crash_cycle in (400, 1200, 3000, 6000, 10**8):
+        state = CrashPointSpec("pkv", "asap", crash_cycle).simulate()
         recovery = store.recover(state)
         when = "end" if crash_cycle == 10**8 else f"cycle {crash_cycle:>5}"
         print(f"crash at {when}: {recovery.entries_found:2d} entries, "
               f"{len(recovery.values)} keys, "
               f"{'clean' if recovery.clean else 'DANGLING POINTERS'}")
-        # spot-check: every recovered value is one this run actually put
-        for key, value in recovery.values.items():
-            assert value.startswith("session-"), (key, value)
+    (cell,) = run_campaign(["pkv"], models=["asap"]).cells
+    print(f"campaign: {len(cell.results)} crash points, "
+          f"{len(cell.failures)} failing")
     print()
     print("Every recovered chain was intact: the entry a head names is")
     print("always durable, because the entry was ordered before the head.")
     print()
 
     print("--- the same store on unsound hardware (no undo records) ---")
-    from repro import Store
-
-    def jammer(heap, parity):
-        """A noisy neighbour saturating one memory controller."""
-        chunk = heap.alloc(64 * 1024, align=256)
-        blocks = [
-            addr for addr in range(chunk, chunk + 120 * 256, 256)
-            if (addr // 256) % 2 == parity
-        ]
-
-        def program():
-            for i in range(120):
-                yield Store(blocks[i % len(blocks)], 64)
-            yield DFence()
-
-        return program()
-
-    dangles = 0
-    total = 0
-    for crash_cycle in range(200, 6000, 79):
-        total += 1
-        heap = PMAllocator()
-        store = PersistentKVStore(heap, buckets=4, pool_slots=64)
-        # jam the controller the entry pool starts on, leaving the bucket
-        # heads' controller fast -- the dangerous direction: a head can
-        # persist while the entry it names is stuck.
-        entry_parity = (store.slot_addr(0) // 256) % 2
-        programs = kv_programs(store, puts_per_thread=12) + [
-            jammer(heap, entry_parity)
-        ]
-        state = run_and_crash(
-            MachineConfig(num_cores=3, pb_inflight_max=32),
-            RunConfig(hardware=HardwareModel.ASAP_NO_UNDO),
-            programs,
-            crash_cycle,
-        )
-        recovery = store.recover(state)
-        if not recovery.clean:
-            dangles += 1
-    print(f"dangling-pointer recoveries: {dangles} of {total} crash instants")
+    (cell,) = run_campaign(
+        ["pkv"], models=["asap_no_undo"],
+        machine=MachineConfig(pb_inflight_max=32),
+    ).cells
+    dangling = [r for r in cell.failures
+                if any(v.startswith("pkv: dangling pointer")
+                       for v in r.oracle_violations)]
+    print(f"dangling-pointer recoveries: {len(dangling)} of "
+          f"{len(cell.results)} crash points")
+    print(f"e.g. {dangling[0].oracle_violations[0]}")
+    print(f"minimized to {cell.failure['media_lines']} surviving media "
+          f"line(s) at cycle {cell.failure['crash_cycle']}")
     print("Eager flushing without recovery information lets a bucket head")
     print("outlive the entry it names; the store's own recovery procedure")
     print("detects the corruption -- but the data is gone.")

@@ -16,8 +16,6 @@ The lifecycle every driver (CLI ``compare``, the figure benchmarks,
    normalization helpers the figures are written against (speedups,
    geomeans, stat extraction).
 
-``analysis.sweeps.sweep()`` survives as a thin shim over steps 1-3.
-
 :class:`SharedPlan` serves many named grids that overlap (the paper's
 figures re-read the same runs) from one deduplicated plan, so a full
 reproduction pass simulates each distinct cell once.

@@ -33,23 +33,7 @@ from repro.core.api import (
     Release,
     Store,
 )
-from repro.sim.config import CACHE_LINE_BYTES
-from repro.workloads.base import LINE, Workload
-
-#: directory interleaving granularity the fixture assumes when steering
-#: addresses to one controller (matches MachineConfig.interleave_bytes).
-_INTERLEAVE = 256
-
-
-def _mc_lines(base: int, mc: int, count: int, num_mcs: int = 2) -> List[int]:
-    """First ``count`` line addresses at/after ``base`` that map to ``mc``."""
-    out: List[int] = []
-    addr = base
-    while len(out) < count:
-        if (addr // _INTERLEAVE) % num_mcs == mc:
-            out.append(addr)
-        addr += CACHE_LINE_BYTES
-    return out
+from repro.workloads.base import INTERLEAVE, LINE, Workload, mc_lines
 
 
 class CrossThreadPublish(Workload):
@@ -75,10 +59,10 @@ class CrossThreadPublish(Workload):
 
     def programs(self, heap: PMAllocator, num_threads: int) -> List[Program]:
         lock = heap.alloc_lock()
-        chunk = heap.alloc(96 * 1024, align=_INTERLEAVE)
-        burst = _mc_lines(chunk, 0, self.JAM_LINES)
-        publish = _mc_lines(chunk + 48 * 1024, 0, 1)[0]
-        reaction = _mc_lines(chunk + 64 * 1024, 1, 1)[0]
+        chunk = heap.alloc(96 * 1024, align=INTERLEAVE)
+        burst = mc_lines(chunk, 0, self.JAM_LINES)
+        publish = mc_lines(chunk + 48 * 1024, 0, 1)[0]
+        reaction = mc_lines(chunk + 64 * 1024, 1, 1)[0]
         clean = heap.alloc_lines(max(1, num_threads))
 
         def publisher() -> Program:

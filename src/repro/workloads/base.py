@@ -36,6 +36,25 @@ from repro.core.machine import Machine, RunResult
 from repro.sim.config import MachineConfig, RunConfig
 
 LINE = 64
+#: memory-controller interleaving granularity the address-steering
+#: helper assumes (matches ``MachineConfig.interleave_bytes``).
+INTERLEAVE = 256
+
+
+def mc_lines(base: int, mc: int, count: int, num_mcs: int = 2) -> List[int]:
+    """First ``count`` line addresses at/after ``base`` that map to ``mc``.
+
+    Crash fixtures use this to steer stores onto one controller (to jam
+    it, or to keep it idle).  The caller allocates the region: ``count``
+    lines on one of two controllers span up to ``2 * count + 4`` lines.
+    """
+    out: List[int] = []
+    addr = base
+    while len(out) < count:
+        if (addr // INTERLEAVE) % num_mcs == mc:
+            out.append(addr)
+        addr += LINE
+    return out
 
 
 class Workload:
@@ -70,6 +89,13 @@ class Workload:
         recoverable).  The default oracle checks the ordered chains the
         workload tagged via :class:`ChainTagger`; subclasses with richer
         invariants (e.g. transactional atomicity) override or extend it.
+
+        The verdict must be a function of ``state`` alone.  The campaign
+        judges with a fresh instance, not the one whose ``programs()``
+        ran, and ``repro crashtest --replay`` judges a loaded state with
+        no run at all, so an oracle must never read volatile state that
+        ``programs()`` left behind.  Anything recovery needs (sequence
+        numbers, pointers as addresses) belongs in the store payloads.
         """
         from repro.verify.chains import check_ordered_chains
 
@@ -289,9 +315,11 @@ class AtlasSection:
 __all__ = [
     "AtlasSection",
     "ChainTagger",
+    "INTERLEAVE",
     "LINE",
     "Workload",
     "WorkloadResult",
+    "mc_lines",
     "ordered_store",
     "pmdk_tx",
     "run_workload",

@@ -37,6 +37,7 @@ from repro.workloads.cceh import CCEH
 from repro.workloads.fastfair import FastFair
 from repro.workloads.dash import DashEH, DashLH
 from repro.workloads.recipe import PART, PCLHT, PMasstree
+from repro.workloads.recoverable import PersistentKV, PersistentLog
 from repro.workloads.microbench import (
     BandwidthMicrobench,
     CoalescingMicrobench,
@@ -70,12 +71,15 @@ MICROBENCHES: List[Type[Workload]] = [
 
 #: fixtures: resolvable by name, but never part of the stock suite
 #: (``repro lint --all`` must stay zero-findings and ``repro crashtest
-#: --all`` zero-violations; these seed true positives for the lint
-#: detector tests and the crash-sweep negative-path tests -- see
-#: docs/lint.md and docs/crashtest.md).
+#: --all`` zero-violations).  ``buggy_demo`` seeds lint and oracle true
+#: positives, ``xpub`` a cross-thread publish race, and ``plog``/``pkv``
+#: recoverable structures whose recovery procedures judge every crash
+#: point -- see docs/lint.md and docs/crashtest.md.
 FIXTURES: List[Type[Workload]] = [
     BuggyDemo,
     CrossThreadPublish,
+    PersistentLog,
+    PersistentKV,
 ]
 
 _BY_NAME: Dict[str, Type[Workload]] = {

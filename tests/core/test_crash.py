@@ -128,3 +128,45 @@ class TestUndoUnwinding:
         # pending -- the run must not have persisted all 16 lines.
         if live_undos:
             assert len(survived) < 16
+
+
+class TestCrashOnlyReads:
+    def test_crash_leaves_media_and_the_rest_of_the_run_alone(self):
+        """``crash_machine`` drains a *copy* of every controller's media:
+        crashing a live ASAP machine whose ADR domain holds writes the
+        media lacks (or whose undo records are live) must not touch its
+        NVM, and the resumed run must finish as if it never crashed."""
+        from repro.exp.spec import fingerprint_sha
+        from repro.workloads.base import WorkloadResult
+        from repro.workloads.registry import get_workload
+
+        config = MachineConfig()
+        run_config = RunConfig(hardware=HardwareModel.ASAP)
+
+        def programs():
+            return get_workload("queue", ops_per_thread=16).programs(
+                PMAllocator(), config.num_cores)
+
+        def pending(machine):
+            return any(
+                mc.adr_value.items() - mc.nvm.media.items()
+                or (mc.recovery_table is not None
+                    and mc.recovery_table.undo_records())
+                for mc in machine.mcs
+            )
+
+        machine = Machine(config, run_config)
+        machine.run_until(programs(), 500)
+        for _ in range(100):
+            if pending(machine):
+                break
+            machine.continue_until(machine.engine.now + 50)
+        assert pending(machine), "no cycle with writes left to drain"
+        media = [dict(mc.nvm.media) for mc in machine.mcs]
+        crash_machine(machine)
+        assert [mc.nvm.media for mc in machine.mcs] == media
+
+        resumed = WorkloadResult("queue", machine.continue_run())
+        fresh = WorkloadResult(
+            "queue", Machine(config, run_config).run(programs()))
+        assert fingerprint_sha(resumed) == fingerprint_sha(fresh)

@@ -18,7 +18,7 @@ PAPER_FIGURES = ["fig02", "fig03", "fig08", "fig09", "fig11"]
 #: Entry points that would run cells outside the shared plan.
 BYPASSES = {"run_grid", "run_plan", "ExperimentPlan", "RunSpec",
             "execute_spec", "bench_grid"}
-BYPASS_MODULES = {"repro.exp", "repro.analysis.sweeps"}
+BYPASS_MODULES = {"repro.exp"}
 
 
 def test_paper_figures_issue_180_cells_for_90_distinct():

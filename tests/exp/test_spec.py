@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 from repro.core.models import MODEL_REGISTRY, ModelSpec, resolve_model
-from repro.exp import RunSpec
+from repro.exp import RunSpec, run_grid
 from repro.sim.config import HardwareModel, MachineConfig, PersistencyModel
 from repro.workloads.base import Workload
 from repro.workloads.microbench import FenceLatencyMicrobench
@@ -64,9 +64,8 @@ class TestSeedThreading:
         assert spec.build_workload().seed == 42
 
     def test_legacy_sweep_threads_seed_too(self):
-        from repro.analysis.sweeps import sweep
-
-        result = sweep(
+        """The grid driver the legacy ``sweep()`` became seeds both."""
+        result = run_grid(
             [FenceLatencyMicrobench], ["asap_rp"],
             MachineConfig(num_cores=1), ops_per_thread=5, seed=13,
         )

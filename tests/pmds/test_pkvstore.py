@@ -1,173 +1,115 @@
-"""Crash-recovery tests for the persistent KV store."""
+"""The ``pkv`` crash fixture: a chained-hash KV store, entries ordered
+before the bucket heads that name them.
 
-import random
+Crash verdicts come from ``run_campaign``, the path ``repro crashtest
+pkv`` takes, so every failure here also minimizes and replays (see
+``tests/crashtest/test_recoverable.py``).  Unit checks call the
+fixture's ``recover()`` on drained, mid-run and doctored crash images.
+"""
+
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core.api import Compute, DFence, PMAllocator
-from repro.core.crash import run_and_crash
-from repro.core.machine import Machine
-from repro.pmds import PersistentKVStore
-from repro.sim.config import HardwareModel, MachineConfig, RunConfig
+from repro.core.crash import crash_sweep
+from repro.core.models import RP_MODELS
+from repro.crashtest import CrashCellSpec, CrashPointSpec, run_campaign
+from repro.sim.config import MachineConfig
+from repro.workloads.registry import get_workload
 
-
-def kv_programs(store, num_threads=2, puts_per_thread=15, seed=3):
-    programs = []
-    for thread in range(num_threads):
-        rng = random.Random(seed * 31 + thread)
-
-        def program(thread=thread, rng=rng):
-            for i in range(puts_per_thread):
-                key = f"k{rng.randrange(10)}"
-                yield from store.put(key, f"v{thread}.{i}")
-                yield Compute(rng.randrange(30, 120))
-            yield DFence()
-
-        programs.append(program())
-    return programs
+#: the wide flush window of the unsound-hardware tests.
+WIDE = MachineConfig(pb_inflight_max=32)
 
 
-def run_crash(hardware, crash_cycle, seed=3):
-    heap = PMAllocator()
-    store = PersistentKVStore(heap, buckets=4, pool_slots=64)
-    state = run_and_crash(
-        MachineConfig(num_cores=2), RunConfig(hardware=hardware),
-        kv_programs(store, seed=seed), crash_cycle,
-    )
-    return store, state
+@lru_cache(maxsize=None)
+def campaign(model, machine=MachineConfig()):
+    (cell,) = run_campaign(["pkv"], models=[model], machine=machine,
+                           points=50, minimize=False).cells
+    return cell
+
+
+def crash(model, crash_cycle):
+    return get_workload("pkv"), CrashPointSpec("pkv", model,
+                                               crash_cycle).simulate()
+
+
+def puts(state):
+    """Every put the run executed, in execution order: (key, value)."""
+    return [
+        (payload[1], payload[2])
+        for _, payload in sorted(state.log.payloads.items())
+        if isinstance(payload, tuple) and payload[0] == "pkv-entry"
+    ]
 
 
 class TestBasics:
     def test_complete_run_recovers_shadow(self):
-        store, state = run_crash(HardwareModel.ASAP, 10**8)
+        store, state = crash("asap", 10**8)
         recovery = store.recover(state)
         assert recovery.clean
-        assert recovery.values == store.shadow
+        assert recovery.entries_found == len(puts(state))
 
     def test_empty_store_recovers_empty(self):
-        heap = PMAllocator()
-        store = PersistentKVStore(heap)
-        state = run_crash(HardwareModel.ASAP, 1)[1]
+        store, state = crash("asap", 1)
         recovery = store.recover(state)
+        assert recovery.clean
         assert recovery.values == {}
 
-    def test_pool_exhaustion_raises(self):
-        heap = PMAllocator()
-        store = PersistentKVStore(heap, pool_slots=1)
-        list(store.put("a", 1))
-        with pytest.raises(ValueError, match="exhausted"):
-            list(store.put("b", 2))
-
     def test_updates_shadow_newest_value(self):
-        store, state = run_crash(HardwareModel.ASAP, 10**8)
-        recovery = store.recover(state)
-        # every recovered value is the newest put for its key
-        for key, value in recovery.values.items():
-            assert store.shadow[key] == value
+        store, state = crash("asap", 10**8)
+        newest = dict(puts(state))  # later puts overwrite earlier ones
+        assert len(newest) < len(puts(state)), "no key was updated"
+        assert store.recover(state).values == newest
 
 
 class TestCrashSafety:
-    @pytest.mark.parametrize(
-        "hardware",
-        [HardwareModel.BASELINE, HardwareModel.HOPS, HardwareModel.ASAP],
-        ids=lambda h: h.value,
-    )
-    @given(crash_cycle=st.integers(min_value=10, max_value=20_000))
-    @settings(max_examples=10, deadline=None)
-    def test_no_dangling_pointers_on_sound_hardware(
-        self, hardware, crash_cycle
-    ):
-        store, state = run_crash(hardware, crash_cycle)
-        recovery = store.recover(state)
-        assert recovery.clean, f"dangling buckets: {recovery.dangling}"
+    @pytest.mark.parametrize("model", ["asap", "baseline", "hops"])
+    def test_no_dangling_pointers_on_sound_hardware(self, model):
+        for machine in (MachineConfig(), WIDE):
+            cell = campaign(model, machine)
+            assert cell.ok, cell.failures[:1]
 
-    @given(crash_cycle=st.integers(min_value=10, max_value=20_000))
-    @settings(max_examples=10, deadline=None)
-    def test_recovered_values_are_well_formed_puts(self, crash_cycle):
+    def test_recovered_values_are_well_formed_puts(self):
         """Chains never invent data: every recovered pair came from a put."""
-        store, state = run_crash(HardwareModel.ASAP, crash_cycle)
-        recovery = store.recover(state)
-        for key, value in recovery.values.items():
-            assert key.startswith("k")
-            assert value.startswith("v")
-            thread, index = value[1:].split(".")
-            assert int(thread) in (0, 1)
-            assert 0 <= int(index) < 15
+        store = get_workload("pkv")
+        spec = CrashCellSpec("pkv", "asap", range(500, 8000, 750))
+        for state in crash_sweep(spec.machine, spec.run_config(),
+                                 spec.programs(), spec.crash_cycles):
+            recovery = store.recover(state)
+            assert recovery.clean
+            assert set(recovery.values.items()) <= set(puts(state))
 
 
 class TestDanglingOnUnsoundHardware:
-    """End-to-end failure injection: jam the entry pool's controller so a
-    bucket head can race ahead of the entry it names."""
-
-    @staticmethod
-    def _jammer(heap, parity):
-        from repro.core.api import Store
-
-        chunk = heap.alloc(64 * 1024, align=256)
-        blocks = [
-            addr for addr in range(chunk, chunk + 120 * 256, 256)
-            if (addr // 256) % 2 == parity
-        ]
-
-        def program():
-            for i in range(120):
-                yield Store(blocks[i % len(blocks)], 64)
-            yield DFence()
-
-        return program()
-
-    def _dangles(self, hardware):
-        count = 0
-        for crash_cycle in range(200, 5000, 83):
-            heap = PMAllocator()
-            store = PersistentKVStore(heap, buckets=4, pool_slots=64)
-            parity = (store.slot_addr(0) // 256) % 2
-            programs = kv_programs(store, puts_per_thread=12) + [
-                self._jammer(heap, parity)
-            ]
-            state = run_and_crash(
-                MachineConfig(num_cores=3, pb_inflight_max=32),
-                RunConfig(hardware=hardware), programs, crash_cycle,
-            )
-            if not store.recover(state).clean:
-                count += 1
-        return count
+    """The jam holds an entry on controller 0 while the head that names
+    it persists on controller 1."""
 
     def test_no_undo_dangles(self):
-        assert self._dangles(HardwareModel.ASAP_NO_UNDO) > 0
+        cell = campaign("asap_no_undo", WIDE)
+        dangling = [v for r in cell.failures for v in r.oracle_violations
+                    if v.startswith("pkv: dangling pointer")]
+        assert dangling
 
     def test_real_asap_never_dangles_under_the_same_jam(self):
-        assert self._dangles(HardwareModel.ASAP) == 0
+        for model in RP_MODELS:
+            assert campaign(model.name, WIDE).ok, model.name
 
 
 class TestDanglingDetection:
     def test_recovery_detects_corrupted_pointer(self):
-        """Unit-level: hand the recovery a doctored crash image with a
-        head pointer naming a never-written slot."""
-        from repro.pmds.pkvstore import HeadPointer
-
-        heap = PMAllocator()
-        store = PersistentKVStore(heap, buckets=2, pool_slots=8)
-        machine = Machine(
-            MachineConfig(num_cores=1), RunConfig(hardware=HardwareModel.ASAP)
+        """Hand the oracle a doctored image: a bucket head naming an
+        entry that was never written."""
+        store, state = crash("asap", 10**8)
+        assert not store.recovery_oracle(state)
+        head_line, head_id = next(
+            (line, wid) for line, wid in sorted(state.media.items())
+            if state.log.payloads.get(wid, ("",))[0] == "pkv-head"
         )
-
-        def program():
-            yield from store.put("a", 1)
-            yield DFence()
-
-        machine.run([program()])
-        from repro.core.crash import crash_machine
-
-        state = crash_machine(machine)
-        # doctor the image: point bucket 0's head at an unwritten slot
-        bucket = store.bucket_of("a")
-        head_line = store.head_addr(bucket)
+        missing = 0x7000_0000  # outside every allocation
         fake_id = max(state.log.writes) + 1
+        state.log.writes[fake_id] = state.log.writes[head_id]
+        state.log.payloads[fake_id] = ("pkv-head", missing)
         state.media[head_line] = fake_id
-        state.log.payloads[fake_id] = HeadPointer(slot=7)  # never written
-        state.log.writes[fake_id] = state.log.writes[max(state.log.writes) - 1]
-        recovery = store.recover(state)
-        assert not recovery.clean
-        assert bucket in recovery.dangling
+        assert store.recover(state).dangling == [(head_line, missing)]
+        assert any(v.startswith("pkv: dangling pointer")
+                   for v in store.recovery_oracle(state))

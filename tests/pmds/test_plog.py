@@ -1,146 +1,93 @@
-"""Crash-recovery tests for the persistent append-only log."""
+"""The ``plog`` crash fixture: one ordered append-only log per thread.
+
+Crash verdicts come from ``run_campaign``, the path ``repro crashtest
+plog`` takes, so every failure here also minimizes and replays (see
+``tests/crashtest/test_recoverable.py``).  Unit checks call the
+fixture's ``recover()`` on a drained and on a mid-run crash image.
+"""
+
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core.api import Compute, DFence, PMAllocator
-from repro.core.crash import run_and_crash
-from repro.pmds import PersistentLog
-from repro.sim.config import HardwareModel, MachineConfig, RunConfig
+from repro.core.api import PMAllocator
+from repro.core.models import RP_MODELS
+from repro.crashtest import CrashPointSpec, run_campaign
+from repro.sim.config import MachineConfig
+from repro.workloads.registry import get_workload
 
-
-def log_program(log, n, think=50):
-    def program():
-        for i in range(n):
-            yield from log.append(f"record-{i}")
-            yield Compute(think)
-        yield DFence()
-
-    return program()
+#: the wide flush window that lets the no-undo ablation reorder the log.
+WIDE = MachineConfig(pb_inflight_max=32)
+THREADS = MachineConfig().num_cores
 
 
-def run_crash(hardware, crash_cycle, n=20, think=50):
-    heap = PMAllocator()
-    log = PersistentLog(heap, capacity=64)
-    state = run_and_crash(
-        MachineConfig(num_cores=1), RunConfig(hardware=hardware),
-        [log_program(log, n, think)], crash_cycle,
-    )
-    return log, state
+@lru_cache(maxsize=None)
+def campaign(model, machine=MachineConfig()):
+    (cell,) = run_campaign(["plog"], models=[model], machine=machine,
+                           points=50, minimize=False).cells
+    return cell
+
+
+def crash(model, crash_cycle):
+    return get_workload("plog"), CrashPointSpec("plog", model,
+                                                crash_cycle).simulate()
+
+
+def appended():
+    """log -> every value its program appends, in order."""
+    logs = {}
+    for program in get_workload("plog").programs(PMAllocator(), THREADS):
+        for op in program:
+            payload = getattr(op, "payload", None)
+            if isinstance(payload, tuple) and payload[0] == "plog":
+                logs.setdefault(payload[1], []).append(payload[3])
+    return logs
 
 
 class TestBasics:
     def test_complete_run_recovers_everything(self):
-        log, state = run_crash(HardwareModel.ASAP, 10**8)
+        log, state = crash("asap", 10**8)
         recovery = log.recover(state)
         assert recovery.clean
-        assert recovery.values == log.appended
+        assert recovery.values == appended()
 
     def test_immediate_crash_recovers_empty(self):
-        log, state = run_crash(HardwareModel.ASAP, 1)
+        log, state = crash("asap", 1)
         recovery = log.recover(state)
         assert recovery.clean
-        assert recovery.values == []
-
-    def test_capacity_enforced(self):
-        heap = PMAllocator()
-        log = PersistentLog(heap, capacity=2)
-        list(log.append("a"))
-        list(log.append("b"))
-        with pytest.raises(ValueError, match="full"):
-            list(log.append("c"))
+        assert recovery.values == {}
 
 
 class TestPrefixGuarantee:
-    @pytest.mark.parametrize(
-        "hardware",
-        [HardwareModel.BASELINE, HardwareModel.HOPS, HardwareModel.ASAP,
-         HardwareModel.EADR],
-        ids=lambda h: h.value,
-    )
-    @given(crash_cycle=st.integers(min_value=10, max_value=12_000))
-    @settings(max_examples=12, deadline=None)
-    def test_crash_loses_at_most_a_suffix(self, hardware, crash_cycle):
-        log, state = run_crash(hardware, crash_cycle)
-        recovery = log.recover(state)
-        assert recovery.clean, f"holes: {recovery.holes}"
-        assert recovery.values == log.appended[: len(recovery.values)]
+    @pytest.mark.parametrize("model", ["baseline", "hops", "asap", "eadr"])
+    def test_crash_loses_at_most_a_suffix(self, model):
+        # a lost entry below a surviving one is a hole, which the oracle
+        # reports; a clean cell therefore only ever lost suffixes.
+        for machine in (MachineConfig(), WIDE):
+            cell = campaign(model, machine)
+            assert cell.ok, cell.failures[:1]
 
     def test_mid_crash_is_a_proper_prefix(self):
-        log, state = run_crash(HardwareModel.ASAP, 1200)
+        log, state = crash("asap", 1500)
         recovery = log.recover(state)
         assert recovery.clean
-        assert 0 < len(recovery.values) < len(log.appended)
+        expected = appended()
+        survived = sum(len(values) for values in recovery.values.values())
+        assert 0 < survived < sum(len(values) for values in expected.values())
+        for index, values in recovery.values.items():
+            assert values == expected[index][: len(values)]
 
 
 class TestHolesOnUnsoundHardware:
-    # A wide flush window is what exposes the reorder: with the default
-    # 8-flush limit the persist buffer self-serializes against the jammed
-    # controller and accidentally hides the bug.
-    CONFIG = MachineConfig(num_cores=1, pb_inflight_max=32)
-
     def test_no_undo_can_produce_holes(self):
-        """Interleave the log with controller-jamming traffic so eager
-        unordered flushing can persist entry i+1 while entry i is stuck;
-        the recovery procedure must detect the hole and truncate."""
-        from repro.core.api import Store
-
-        def jammed_program(heap, log, n=16):
-            chunk = heap.alloc(64 * 1024, align=256)
-            # blocks on MC0 only (the log's own lines span both MCs)
-            mc0 = [
-                addr for addr in range(chunk, chunk + 80 * 256, 256)
-                if (addr // 256) % 2 == 0
-            ]
-
-            def program():
-                for i in range(n):
-                    for j in range(4):
-                        yield Store(mc0[(4 * i + j) % len(mc0)], 64)
-                    yield from log.append(f"record-{i}")
-                yield DFence()
-
-            return program()
-
-        saw_hole = False
-        for crash_cycle in range(100, 9000, 83):
-            heap = PMAllocator()
-            log = PersistentLog(heap, capacity=64)
-            state = run_and_crash(
-                self.CONFIG,
-                RunConfig(hardware=HardwareModel.ASAP_NO_UNDO),
-                [jammed_program(heap, log)], crash_cycle,
-            )
-            recovery = log.recover(state)
-            # truncation recovery always yields a prefix...
-            assert recovery.values == log.appended[: len(recovery.values)]
-            if not recovery.clean:
-                saw_hole = True
-                assert recovery.truncated  # something was beyond the hole
-        assert saw_hole
+        """The jam holds an even entry on controller 0 while the next,
+        odd entry persists on controller 1: speculative flushing with
+        no undo records leaves a hole the oracle names."""
+        cell = campaign("asap_no_undo", WIDE)
+        holes = [v for r in cell.failures for v in r.oracle_violations
+                 if v.startswith("plog: hole")]
+        assert holes
 
     def test_real_asap_never_holes_under_the_same_jam(self):
-        from repro.core.api import Store
-
-        for crash_cycle in range(100, 9000, 167):
-            heap = PMAllocator()
-            log = PersistentLog(heap, capacity=64)
-            chunk = heap.alloc(64 * 1024, align=256)
-            mc0 = [
-                addr for addr in range(chunk, chunk + 80 * 256, 256)
-                if (addr // 256) % 2 == 0
-            ]
-
-            def program():
-                for i in range(16):
-                    for j in range(4):
-                        yield Store(mc0[(4 * i + j) % len(mc0)], 64)
-                    yield from log.append(f"record-{i}")
-                yield DFence()
-
-            state = run_and_crash(
-                self.CONFIG,
-                RunConfig(hardware=HardwareModel.ASAP),
-                [program()], crash_cycle,
-            )
-            assert log.recover(state).clean
+        for model in RP_MODELS:
+            assert campaign(model.name, WIDE).ok, model.name
